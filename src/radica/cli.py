@@ -356,8 +356,12 @@ def _cmd_solve(args):
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 
-    residuals = [_root_residual(field, coeffs, rec) for rec in records]
-    report = verify_solution(field, coeffs, records) if args.verify else None
+    if args.verify:
+        report = verify_solution(field, coeffs, records)
+        residuals = report.residuals
+    else:
+        report = None
+        residuals = [_root_residual(field, coeffs, rec) for rec in records]
 
     order = sorted(
         range(len(records)), key=lambda i: (records[i].approx.real, records[i].approx.imag)
@@ -409,6 +413,20 @@ def _cmd_selftest(args):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _polynomial_last(argv):
+    """``solve`` argv with a polynomial that starts with '-' and has no space,
+    such as "-5/4*x^3", moved behind ``--``: argparse would read it as an
+    unknown option.  Tokens already behind ``--`` are left alone."""
+    if argv[:1] != ["solve"]:
+        return argv
+    for i, token in enumerate(argv):
+        if token == "--":
+            break
+        if token.startswith("-") and not token.startswith("--") and token != "-h":
+            return argv[:i] + argv[i + 1 :] + ["--", token]
+    return argv
+
+
 def run(argv=None):
     parser = argparse.ArgumentParser(
         prog="radica",
@@ -439,7 +457,8 @@ def run(argv=None):
     st = sub.add_parser("selftest", help="run the randomized invariant corpus")
     st.set_defaults(func=_cmd_selftest)
 
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_polynomial_last(argv))
     return args.func(args)
 
 

@@ -1,10 +1,22 @@
 """Exact backend: normalized rationals and radical extension towers.
 
-Elements live in Q(g1)(g2)...(gn) where each generator is a square or cube
-root of an element built from the levels below it.  Representations are
-nested coefficient tuples in reduced normal form -- degree below each
-generator's extension degree, rational leaves normalized -- so equality
-with zero is decidable by inspection.
+Elements live in Q(g1)(g2)...(gn) where each generator g_k is a square or
+cube root (d_k = 2 or 3) of an element built from the levels below it.
+
+Representation: each generator is stored rescaled as h_k = c_k*g_k, where
+the positive integer c_k makes h_k**d_k = c_k**d_k * radicand integral; that
+integral element is the level's rewrite rule.  An element is a sparse map
+from monomials h1**e1 ... hn**en (0 <= e_k < d_k) to nonzero integers over
+one positive denominator, with the gcd of the coefficients and the
+denominator divided out: a unique form, so the zero test only looks for
+terms.  A monomial is one integer key whose digits are its exponents, in a
+mixed radix of 2*d_k - 1 per level with the lowest level least significant,
+so multiplying two monomials adds their keys without carry and appending a
+level leaves every key unchanged.  Multiplication is the integer product of
+the nonzero terms with one reduction pass that applies each level's rule
+h_k**d_k -> rule, through a per-tower table of reduced monomials; inversion
+multiplies by the adjugate over the level below.  ``debug_str`` and
+``to_complex`` are defined in the original g basis.
 
 Towers are append-only and immutable: adjoining a root returns a new tower
 sharing the existing levels, and an element built on a shorter tower can be
@@ -14,7 +26,9 @@ used anywhere a longer tower extending it is in play.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 
 from .complexfield import ccbrt_principal, csqrt_principal
 from .fields import FieldCapabilities
@@ -33,7 +47,7 @@ class ReducibleExtensionError(ArithmeticError):
 
     Raised when inverting a nonzero zero-divisor.  ``factor`` carries the
     discovered proper factor of the defining polynomial (little-endian
-    coefficient list over the level below).  The tower is not auto-split;
+    coefficient list of elements of the tower below the level).  The tower is not auto-split;
     callers typically retry on the approximate backend.
     """
 
@@ -97,230 +111,269 @@ def rational_cbrt(q):
 
 
 # ---------------------------------------------------------------------------
-# Representation helpers.  A rep at depth 0 is a Fraction; at depth k it is a
-# tuple of length levels[k-1].deg whose entries are reps at depth k-1.
+# The integral kernel.  ``terms`` maps a monomial key to a nonzero int; keys
+# of normal monomials have every digit e_k < d_k, and the sum of two such
+# keys is the key of their product, each digit below 2*d_k - 1.
 # ---------------------------------------------------------------------------
 
 
-def _zero_rep(levels):
-    rep = Fraction(0)
+def _combine(x, y, sy=1, sx=1):
+    """sx*x + sy*y on integral terms, zeros dropped."""
+    out = {k: v * sx for k, v in x.items()} if sx != 1 else dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + sy * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _root_scale(den, deg):
+    """A positive c with den dividing c**deg, by trial division below 100:
+    the least such c when what the division leaves of den is a perfect
+    deg-th power."""
+    scale = 1
+    for p in range(2, 100):
+        e = 0
+        while den % p == 0:
+            den //= p
+            e += 1
+        scale *= p ** -(-e // deg)
+    root = math.isqrt(den) if deg == 2 else _icbrt(den)
+    return scale * (root if root**deg == den else den)
+
+
+class _Kernel(dict):
+    """Integral arithmetic over ``levels``.
+
+    As a dict it maps every monomial key that a product can produce to its
+    normal form, filled on first use: ``None`` for a key that is already
+    normal, else a tuple of (normal key, int) pairs.
+    """
+
+    __slots__ = ("levels", "bases")
+
+    def __init__(self, levels):
+        super().__init__()
+        self.levels = levels
+        bases = [1]
+        for lv in levels:
+            bases.append(bases[-1] * lv.radix)
+        #: key of each generator, then one past the largest key
+        self.bases = tuple(bases)
+
+    def __missing__(self, key):
+        levels, bases = self.levels, self.bases
+        for k in range(len(levels) - 1, -1, -1):
+            if key // bases[k] % levels[k].radix >= levels[k].deg:
+                break
+        else:
+            self[key] = None
+            return None
+        # h_k**e = h_k**(e - d_k) * rule_k at the highest overflowing level;
+        # what is left overflows only below it, and has a smaller key
+        rest = key - levels[k].deg * bases[k]
+        form = self[rest]
+        base = {rest: 1} if form is None else dict(form)
+        value = tuple(self.mul(base, levels[k].rule).items())
+        self[key] = value
+        return value
+
+    def mul(self, x, y):
+        """Product of integral terms x and y, reduced by the level rules."""
+        out = {}
+        get = out.get
+        for a, ca in x.items():
+            for b, cb in y.items():
+                key = a + b
+                form = self[key]
+                if form is None:
+                    out[key] = get(key, 0) + ca * cb
+                else:
+                    c = ca * cb
+                    for n, cn in form:
+                        out[n] = get(n, 0) + c * cn
+        return {k: v for k, v in out.items() if v}
+
+    def inverse(self, terms):
+        """(terms, den) of 1/x for nonzero integral x, by the norm to the level
+        below x's highest generator: x * adj(x) = N(x) there."""
+        top = bisect_right(self.bases, max(terms)) - 1
+        if top < 0:
+            n = terms[0]
+            return {0: 1 if n > 0 else -1}, abs(n)
+        level, base, mul = self.levels[top], self.bases[top], self.mul
+        rule = level.rule
+        a = [{} for _ in range(level.deg)]
+        for key, v in terms.items():
+            i, low = divmod(key, base)
+            a[i][low] = v
+        if level.deg == 2:
+            adj = [a[0], {k: -v for k, v in a[1].items()}]
+            norm = _combine(mul(a[0], a[0]), mul(rule, mul(a[1], a[1])), -1)
+        else:
+            a0, a1, a2 = a
+            adj = [
+                _combine(mul(a0, a0), mul(rule, mul(a1, a2)), -1),
+                _combine(mul(rule, mul(a2, a2)), mul(a0, a1), -1),
+                _combine(mul(a1, a1), mul(a0, a2), -1),
+            ]
+            cross = _combine(mul(a1, adj[2]), mul(a2, adj[1]))
+            norm = _combine(mul(a0, adj[0]), mul(rule, cross))
+        if not norm:
+            below = Tower(self.levels[:top])
+            coeffs = [TowerElement(below, part) * level.scale**i for i, part in enumerate(a)]
+            raise ReducibleExtensionError(factor=_reducible_factor(below, level, coeffs))
+        content = gcd(*norm.values())
+        inv, den = self.inverse({k: v // content for k, v in norm.items()})
+        adjoint = {low + i * base: v for i, part in enumerate(adj) for low, v in part.items()}
+        return mul(adjoint, inv), den * content
+
+
+def _exponents(levels, key):
+    """Exponent of each level's generator in the monomial ``key``."""
+    exps = []
     for lv in levels:
-        rep = (rep,) * lv.deg
-    return rep
+        key, e = divmod(key, lv.radix)
+        exps.append(e)
+    return exps
 
 
-def _const_rep(levels, q):
-    rep = Fraction(q)
-    zero = Fraction(0)
-    for lv in levels:
-        rep = (rep,) + (zero,) * (lv.deg - 1)
-        zero = (zero,) * lv.deg
-    return rep
+def _g_numerators(levels, terms):
+    """{key: int}: the terms in the g basis, since h_k**e = scale_k**e * g_k**e."""
+    out = {}
+    for key, v in terms.items():
+        for lv, e in zip(levels, _exponents(levels, key)):
+            if e:
+                v *= lv.scale**e
+        out[key] = v
+    return out
 
 
-def _lift_rep(rep, from_levels, to_levels):
-    zero = _zero_rep(from_levels)
-    for lv in to_levels[len(from_levels):]:
-        rep = (rep,) + (zero,) * (lv.deg - 1)
-        zero = (zero,) * lv.deg
-    return rep
+def _embed(levels, bases, depth, coeffs):
+    """Nested per-level Horner of the g-basis float ``coeffs`` over
+    ``levels[:depth]``.
 
-
-def _is_zero_rep(levels, rep):
-    if not levels:
-        return rep == 0
-    sub = levels[:-1]
-    return all(_is_zero_rep(sub, c) for c in rep)
-
-
-def _add_rep(levels, x, y):
-    if not levels:
-        return x + y
-    sub = levels[:-1]
-    return tuple(_add_rep(sub, a, b) for a, b in zip(x, y))
-
-
-def _neg_rep(levels, x):
-    if not levels:
-        return -x
-    sub = levels[:-1]
-    return tuple(_neg_rep(sub, c) for c in x)
-
-
-def _sub_rep(levels, x, y):
-    return _add_rep(levels, x, _neg_rep(levels, y))
-
-
-def _mul_rep(levels, x, y):
-    if not levels:
-        return x * y
-    sub = levels[:-1]
-    deg = levels[-1].deg
-    prod = [_zero_rep(sub)] * (2 * deg - 1)
-    for i, xi in enumerate(x):
-        if _is_zero_rep(sub, xi):
-            continue
-        for j, yj in enumerate(y):
-            if _is_zero_rep(sub, yj):
-                continue
-            prod[i + j] = _add_rep(sub, prod[i + j], _mul_rep(sub, xi, yj))
-    # rewrite g**k for k >= deg using the defining relation g**deg = radicand
-    a = levels[-1].radicand_rep
-    for k in range(2 * deg - 2, deg - 1, -1):
-        if not _is_zero_rep(sub, prod[k]):
-            prod[k - deg] = _add_rep(sub, prod[k - deg], _mul_rep(sub, prod[k], a))
-    return tuple(prod[:deg])
-
-
-# Polynomial helpers over the ring at `levels` (coefficients little-endian).
-
-
-def _poly_trim(levels, p):
-    while p and _is_zero_rep(levels, p[-1]):
-        p.pop()
-    return p
-
-
-def _poly_sub(levels, a, b):
-    n = max(len(a), len(b))
-    zero = _zero_rep(levels)
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else zero
-        bi = b[i] if i < len(b) else zero
-        out.append(_sub_rep(levels, ai, bi))
-    return _poly_trim(levels, out)
-
-
-def _poly_mul(levels, a, b):
-    if not a or not b:
-        return []
-    out = [_zero_rep(levels)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if _is_zero_rep(levels, ai):
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = _add_rep(levels, out[i + j], _mul_rep(levels, ai, bj))
-    return _poly_trim(levels, out)
-
-
-def _poly_divmod(levels, a, b):
-    """Quotient and remainder of a by b; b's leading coefficient must invert."""
-    binv = _inv_rep(levels, b[-1])
-    rem = list(a)
-    q = [_zero_rep(levels)] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = _mul_rep(levels, rem[k + len(b) - 1], binv)
-        if _is_zero_rep(levels, c):
-            continue
-        q[k] = c
-        for j in range(len(b)):
-            rem[k + j] = _sub_rep(levels, rem[k + j], _mul_rep(levels, c, b[j]))
-    return _poly_trim(levels, q), _poly_trim(levels, rem)
-
-
-def _inv_rep(levels, x):
-    """Inverse in the tower ring, by extended Euclid against the defining
-    polynomial at each level (recursing into the level below for coefficient
-    inverses)."""
-    if not levels:
-        if x == 0:
-            raise ZeroDivisionError("division by zero")
-        return 1 / x
-    sub = levels[:-1]
-    deg = levels[-1].deg
-    f = _poly_trim(sub, list(x))
-    if not f:
-        raise ZeroDivisionError("division by zero")
-    # m(X) = X**deg - radicand
-    m = [_neg_rep(sub, levels[-1].radicand_rep)]
-    m += [_zero_rep(sub)] * (deg - 1)
-    m.append(_const_rep(sub, 1))
-    r0, r1 = m, f
-    s0, s1 = [], [_const_rep(sub, 1)]
-    while len(r1) > 1:
-        q, rem = _poly_divmod(sub, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(sub, s0, _poly_mul(sub, q, s1))
-        if not r1:
-            # gcd(f, m) = r0 has positive degree: m is reducible over sub
-            raise ReducibleExtensionError(factor=r0)
-    cinv = _inv_rep(sub, r1[0])
-    inv = [_mul_rep(sub, c, cinv) for c in s1]
-    inv += [_zero_rep(sub)] * (deg - len(inv))
-    return tuple(inv[:deg])
-
-
-def _to_complex_rep(levels, rep):
-    if not levels:
-        return complex(rep)
-    sub = levels[:-1]
-    g = levels[-1].embed
+    Every level runs its full Horner loop, zero coefficients included, in
+    the same order as a dense evaluation, so signed zeros come out the same;
+    an all-zero subtree is skipped, since its dense value is exactly 0j.
+    """
+    if not coeffs:
+        return 0j
+    if depth == 0:
+        return complex(coeffs[0])
+    depth -= 1
+    base = bases[depth]
+    parts = [{} for _ in range(levels[depth].deg)]
+    for key, q in coeffs.items():
+        i, low = divmod(key, base)
+        parts[i][low] = q
+    g = levels[depth].embed
     acc = 0j
-    for c in reversed(rep):
-        acc = acc * g + _to_complex_rep(sub, c)
+    for part in reversed(parts):
+        acc = acc * g + _embed(levels, bases, depth, part)
     return acc
 
 
-def _lower_rep(levels, rep):
-    """Strip top levels whose non-constant coefficients are all zero."""
-    while levels:
-        sub = levels[:-1]
-        if all(_is_zero_rep(sub, c) for c in rep[1:]):
-            levels, rep = sub, rep[0]
-        else:
-            break
-    return levels, rep
+def _render(levels, terms, den):
+    """g-basis text of terms/den, monomials in key order."""
+    coeffs = {k: Fraction(v, den) for k, v in _g_numerators(levels, terms).items()}
+    if not coeffs:
+        return "0"
+    if list(coeffs) == [0]:
+        return str(coeffs[0])
+    parts = []
+    for key in sorted(coeffs):
+        factors = [f"({coeffs[key]})"]
+        for i, e in enumerate(_exponents(levels, key)):
+            if e == 1:
+                factors.append(f"g{i + 1}")
+            elif e > 1:
+                factors.append(f"g{i + 1}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
-def _monomials(levels, rep, exps=()):
-    """Yield (exponent tuple lowest-level-first, rational) for nonzero terms."""
-    if not levels:
-        if rep != 0:
-            yield exps, rep
-        return
-    sub = levels[:-1]
-    for i, c in enumerate(rep):
-        yield from _monomials(sub, c, (i,) + exps)
+def _normal(tower, terms, den):
+    """The element terms/den with the common factor divided out."""
+    if not terms:
+        return TowerElement(tower, {}, 1)
+    g = gcd(den, *terms.values())
+    if g != 1:
+        terms = {k: v // g for k, v in terms.items()}
+        den //= g
+    return TowerElement(tower, terms, den)
+
+
+def _trim(poly):
+    while poly and poly[-1].is_zero():
+        poly.pop()
+    return poly
+
+
+def _reducible_factor(below, level, coeffs):
+    """gcd over ``below`` of sum(coeffs[i] * X**i) and X**deg - radicand, by
+    Euclid; little-endian, a proper factor when the first is a zero-divisor."""
+    terms, den = level.radicand
+    a = [-TowerElement(below, dict(terms), den)] + [below.zero] * (level.deg - 1) + [below.one]
+    b = _trim(list(coeffs))
+    while b:
+        lead = b[-1].inverse()
+        while len(a) >= len(b):
+            q = a[-1] * lead
+            shift = len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] = a[shift + j] - q * bj
+            _trim(a)
+        a, b = b, a
+    return a
 
 
 class Level:
-    """One radical extension: a generator g with g**deg equal to the radicand."""
+    """One radical extension: a generator g with g**deg equal to the radicand.
 
-    __slots__ = ("kind", "deg", "radicand_rep", "embed")
+    ``radicand`` is the sorted (key, int) pairs and denominator of the
+    radicand over the levels below; the generator is stored as
+    h = scale*g, and ``rule`` is the integral element h**deg reduces to.
+    """
 
-    def __init__(self, kind, radicand_rep, embed):
+    __slots__ = ("kind", "deg", "radix", "radicand", "embed", "scale", "rule")
+
+    def __init__(self, kind, radicand, embed):
         self.kind = kind
         self.deg = 2 if kind == "sqrt" else 3
-        self.radicand_rep = radicand_rep
+        self.radix = 2 * self.deg - 1
+        self.radicand = (tuple(sorted(radicand.terms.items())), radicand.den)
         self.embed = embed
+        self.scale = _root_scale(radicand.den, self.deg)
+        lift = self.scale**self.deg // radicand.den
+        self.rule = {k: v * lift for k, v in radicand.terms.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Level):
             return NotImplemented
-        return self.kind == other.kind and self.radicand_rep == other.radicand_rep
+        return self.kind == other.kind and self.radicand == other.radicand
 
     def __hash__(self):
-        return hash((self.kind, self.radicand_rep))
+        return hash((self.kind, self.radicand))
 
     def __repr__(self):
-        return f"Level({self.kind!r}, radicand={self.radicand_rep!r})"
+        return f"Level({self.kind!r}, radicand={self.radicand!r})"
 
 
 class Tower:
     """Immutable chain of radical extensions over the rationals."""
 
-    __slots__ = ("levels",)
+    __slots__ = ("levels", "_kernel")
 
     def __init__(self, levels=()):
         self.levels = tuple(levels)
+        self._kernel = _Kernel(self.levels)
 
     @property
     def depth(self):
         return len(self.levels)
 
     def rational(self, q):
-        return TowerElement(self, _const_rep(self.levels, Fraction(q)))
+        q = Fraction(q)
+        return TowerElement(self, {0: q.numerator} if q else {}, q.denominator)
 
     @property
     def zero(self):
@@ -332,17 +385,19 @@ class Tower:
 
     def generator(self, index):
         """The generator adjoined at ``index`` (0-based), as an element."""
-        lv = self.levels[index]
-        below = self.levels[:index]
-        rep = (_zero_rep(below), _const_rep(below, 1))
-        if lv.deg == 3:
-            rep += (_zero_rep(below),)
-        return TowerElement(self, _lift_rep(rep, self.levels[: index + 1], self.levels))
+        return TowerElement(self, {self._kernel.bases[index]: 1}, self.levels[index].scale)
+
+    # -- adjunction -------------------------------------------------------------
 
     def _prepare_radicand(self, a):
         if not isinstance(a, TowerElement):
             a = self.rational(a)
         return a._on(self)
+
+    def _grow(self, level):
+        grown = Tower(self.levels + (level,))
+        grown._kernel.update(self._kernel)
+        return grown, grown.generator(self.depth)
 
     def adjoin_sqrt(self, a):
         """Adjoin a square root of ``a``.
@@ -358,9 +413,7 @@ class Tower:
             root = rational_sqrt(q)
             if root is not None:
                 return self, self.rational(root)
-        level = Level("sqrt", a.rep, csqrt_principal(a.to_complex()))
-        grown = Tower(self.levels + (level,))
-        return grown, grown.generator(self.depth)
+        return self._grow(Level("sqrt", a, csqrt_principal(a.to_complex())))
 
     def adjoin_cbrt(self, a):
         """Adjoin a cube root of ``a``; rational perfect cubes (either sign)
@@ -371,9 +424,7 @@ class Tower:
             root = rational_cbrt(q)
             if root is not None:
                 return self, self.rational(root)
-        level = Level("cbrt", a.rep, ccbrt_principal(a.to_complex()))
-        grown = Tower(self.levels + (level,))
-        return grown, grown.generator(self.depth)
+        return self._grow(Level("cbrt", a, ccbrt_principal(a.to_complex())))
 
     def __eq__(self, other):
         if not isinstance(other, Tower):
@@ -388,58 +439,66 @@ class Tower:
 
 
 class TowerElement:
-    """A tower value in reduced polynomial normal form."""
+    """A tower value: integral ``terms`` over the positive ``den``, reduced."""
 
-    __slots__ = ("tower", "rep")
+    __slots__ = ("tower", "terms", "den")
 
-    def __init__(self, tower, rep):
+    def __init__(self, tower, terms, den=1):
         self.tower = tower
-        self.rep = rep
+        self.terms = terms
+        self.den = den
 
     # -- tower compatibility ------------------------------------------------
 
     def _on(self, tower):
-        """Re-express this element on ``tower`` (which must extend its own)."""
-        mine = self.tower.levels
-        if mine == tower.levels:
+        """This element on ``tower``, which must extend the levels it uses.
+
+        Keys do not change when levels are appended, so only the tower
+        reference moves.
+        """
+        if tower is self.tower:
             return self
-        if mine == tower.levels[: len(mine)]:
-            return TowerElement(tower, _lift_rep(self.rep, mine, tower.levels))
-        levels, rep = _lower_rep(mine, self.rep)
-        if levels == tower.levels[: len(levels)]:
-            return TowerElement(tower, _lift_rep(rep, levels, tower.levels))
-        raise TowerMismatchError("tower mismatch")
+        mine = self.tower.levels
+        if mine != tower.levels[: len(mine)]:
+            used = bisect_right(self.tower._kernel.bases, max(self.terms, default=0))
+            if mine[:used] != tower.levels[:used]:
+                raise TowerMismatchError("tower mismatch")
+        return TowerElement(tower, self.terms, self.den)
 
     def _pair(self, other):
-        if not isinstance(other, TowerElement):
+        """(tower, other element) for a binary operation, or None."""
+        if other.__class__ is not TowerElement:
             if isinstance(other, (int, Fraction)):
-                other = self.tower.rational(other)
-            else:
-                return None
+                return self.tower, self.tower.rational(other)
+            return None
+        if self.tower is other.tower:
+            return self.tower, other
         if self.tower.depth >= other.tower.depth:
-            return self, other._on(self.tower)
-        return self._on(other.tower), other
+            return self.tower, other._on(self.tower)
+        return self._on(other.tower).tower, other
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
-        return TowerElement(x.tower, _add_rep(x.tower.levels, x.rep, y.rep))
+        tower, y = pair
+        dx, dy = self.den, y.den
+        g = gcd(dx, dy)
+        sx = dy // g
+        return _normal(tower, _combine(self.terms, y.terms, sign * dx // g, sx), dx * sx)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(self.tower, _neg_rep(self.tower.levels, self.rep))
+        return TowerElement(self.tower, {k: -v for k, v in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        x, y = pair
-        return TowerElement(x.tower, _sub_rep(x.tower.levels, x.rep, y.rep))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -448,8 +507,8 @@ class TowerElement:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
-        return TowerElement(x.tower, _mul_rep(x.tower.levels, x.rep, y.rep))
+        tower, y = pair
+        return _normal(tower, tower._kernel.mul(self.terms, y.terms), self.den * y.den)
 
     __rmul__ = __mul__
 
@@ -459,63 +518,59 @@ class TowerElement:
         Raises ``ZeroDivisionError`` on zero and ``ReducibleExtensionError``
         when a nonzero zero-divisor reveals a reducible defining polynomial.
         """
-        return TowerElement(self.tower, _inv_rep(self.tower.levels, self.rep))
+        if not self.terms:
+            raise ZeroDivisionError("division by zero")
+        terms, den = self.tower._kernel.inverse(self.terms)
+        return _normal(self.tower, {k: v * self.den for k, v in terms.items()}, den)
 
     def is_zero(self):
-        return _is_zero_rep(self.tower.levels, self.rep)
+        return not self.terms
 
     def __eq__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
-        return x.rep == y.rep
+        y = pair[1]
+        return self.terms == y.terms and self.den == y.den
 
     def __hash__(self):
-        levels, rep = _lower_rep(self.tower.levels, self.rep)
-        return hash((levels, rep))
+        return hash((self.den, frozenset(self.terms.items())))
 
     # -- views ----------------------------------------------------------------
 
     def to_complex(self):
-        """Evaluate the coefficient tree at the generators' embeddings."""
-        return _to_complex_rep(self.tower.levels, self.rep)
+        """Evaluate the g-basis coefficients at the generators' embeddings.
+
+        ``n / den`` is the correctly rounded value of the coefficient, the
+        same float as that of its ``Fraction``.
+        """
+        levels, den = self.tower.levels, self.den
+        coeffs = {k: n / den for k, n in _g_numerators(levels, self.terms).items()}
+        return _embed(levels, self.tower._kernel.bases, len(levels), coeffs)
 
     def as_rational(self):
-        levels, rep = _lower_rep(self.tower.levels, self.rep)
-        return rep if not levels else None
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        if len(terms) == 1 and 0 in terms:
+            return Fraction(terms[0], self.den)
+        return None
 
     def debug_str(self):
-        """Canonical text form, lowest level first, for golden tests."""
-        body = _render_monomials(self.tower.levels, self.rep)
+        """Canonical text form in the g basis, lowest level first, for golden
+        tests."""
+        levels = self.tower.levels
+        body = _render(levels, self.terms, self.den)
         clauses = []
-        for i, lv in enumerate(self.tower.levels):
-            rhs = _render_monomials(self.tower.levels[:i], lv.radicand_rep)
-            clauses.append(f"g{i + 1}^{lv.deg} = {rhs}")
+        for i, lv in enumerate(levels):
+            terms, den = lv.radicand
+            clauses.append(f"g{i + 1}^{lv.deg} = {_render(levels[:i], dict(terms), den)}")
         if clauses:
             return f"{body} where {'; '.join(clauses)}"
         return body
 
     def __repr__(self):
         return f"TowerElement({self.debug_str()})"
-
-
-def _render_monomials(levels, rep):
-    terms = list(_monomials(levels, rep))
-    if not terms:
-        return "0"
-    if len(terms) == 1 and not any(terms[0][0]):
-        return str(terms[0][1])
-    parts = []
-    for exps, q in terms:
-        factors = [f"({q})"]
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(f"g{i + 1}")
-            elif e > 1:
-                factors.append(f"g{i + 1}^{e}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
 
 
 class TowerField(FieldCapabilities):
@@ -568,8 +623,10 @@ class TowerField(FieldCapabilities):
         return x.as_rational()
 
     def _adjoin(self, kind, x):
-        x = x._on(self.tower) if x.tower != self.tower else x
-        key = (kind,) + _lower_rep(x.tower.levels, x.rep)
+        # keys are the same on every stage of the session tower, so equal
+        # radicands have equal terms
+        x = x._on(self.tower)
+        key = (kind, x.den, frozenset(x.terms.items()))
         found = self._roots.get(key)
         if found is not None:
             return found

@@ -8,7 +8,18 @@ import pytest
 
 from radica.cli import ParseError, parse_polynomial, run
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cardano_x3_6x_9.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "cardano_x3_6x_9.json")
+
+#: ``solve --format json --verify`` reports stored byte for byte
+BYTE_GOLDENS = {
+    "cardano_x3_6x_9.json": "x^3 - 6*x - 9",
+    "rational_cubic_x3_7x_6.json": "x^3 - 7*x + 6",
+    "casus_cubic_x3_3x_1.json": "x^3 - 3*x + 1",
+    "depth6_quartic_seed1.json": "1/3*x^4 + 2/5*x^3 + 8/5*x^2 - 7*x + 13/17",
+    "biquadratic_x4_10x2_1.json": "x^4 - 10*x^2 + 1",
+    "quadratic_x2_x_1.json": "x^2 - x - 1",
+}
 
 
 # -- parser ---------------------------------------------------------------------
@@ -154,6 +165,46 @@ def test_json_golden_cardano(capsys):
     assert payload == expected
 
 
+@pytest.mark.parametrize("name", sorted(BYTE_GOLDENS))
+def test_json_golden_bytes(capsys, name):
+    code = run(["solve", "--format", "json", "--verify", "--", BYTE_GOLDENS[name]])
+    assert code == 0
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve", "-5/4*x^3"], "-5/4*x^3"),
+        (["solve", "-5/4*x^3", "--verify"], "-5/4*x^3"),
+        (["solve", "--", "-5/4*x^3"], "-5/4*x^3"),
+        (["solve", "-x^2 + 1"], "-x^2 + 1"),
+    ],
+)
+def test_solve_leading_minus_polynomial(capsys, argv, text):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith(f"{text}: degree ")
+
+
+def test_solve_leading_minus_polynomial_roots(capsys):
+    assert run(["solve", "-5/4*x^3", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["coefficients"] == [{"deg": 3, "num": -5, "den": 4}]
+    assert [r["approx"] for r in payload["roots"]] == [{"re": 0.0, "im": 0.0}] * 3
+
+
+@pytest.mark.parametrize("flags, calls", [([], 3), (["--verify"], 3)])
+def test_exact_horner_runs_once_per_root(capsys, monkeypatch, flags, calls):
+    import radica.verifier as verifier
+
+    seen = []
+    real = verifier.horner_eval
+    monkeypatch.setattr(verifier, "horner_eval", lambda *a: seen.append(a) or real(*a))
+    assert run(["solve", "x^3 - 6*x - 9", *flags]) == 0
+    assert len(seen) == calls
+
+
 def test_reducible_extension_falls_back_to_complex(capsys, monkeypatch):
     import radica.cli as cli
     from radica.tower import ReducibleExtensionError
@@ -186,6 +237,7 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
 
     class FailingReport:
         passed = False
+        residuals = [0.0, 0.0]
         residuals_ok = False
         factorization_ok = False
         oracle_match = False

@@ -1,5 +1,6 @@
 """Exact backend: rational normalization, adjunction, arithmetic, inversion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,18 @@ def test_reducible_extension_detected_with_factor():
     assert len(excinfo.value.factor) == 2  # a linear factor of x**2 - radicand
 
 
+def test_product_of_zero_divisor_radicands_squares_to_zero():
+    f = TowerField()
+    g1 = f.sqrt(f.from_rational(2))
+    g2 = f.sqrt(f.add(f.from_rational(3), f.mul(f.from_rational(2), g1)))
+    # g2**2 == (1 + g1)**2, so the radicands of g3 and g4 multiply to zero
+    g3 = f.sqrt(f.sub(g2, f.add(f.one, g1)))
+    g4 = f.sqrt(f.add(g2, f.add(f.one, g1)))
+    g5 = f.sqrt(f.add(g3, f.one))
+    x = f.mul(f.mul(g3, g4), g5)
+    assert f.is_zero(f.mul(x, x))
+
+
 def test_tower_mismatch_between_sessions():
     fa, fb = TowerField(), TowerField()
     ga = fa.sqrt(fa.from_rational(2))
@@ -275,3 +288,201 @@ def test_field_axioms_on_random_towers(rng):
                 assert f.eq(f.mul(x, f.inverse(x)), f.one)
             except ReducibleExtensionError:
                 pass
+
+
+
+# -- cross-check against a naive reference ------------------------------------
+# The reference keeps g-basis Fraction coefficients keyed by exponent tuples
+# (lowest level first) and rewrites g_k**d_k -> radicand by plain recursion.
+
+
+def _ref_reduce(levels, out, exps, c):
+    for k in reversed(range(len(levels))):
+        deg, radicand = levels[k]
+        if exps[k] >= deg:
+            rest = exps[:k] + (exps[k] - deg,) + exps[k + 1 :]
+            for r, q in radicand.items():
+                _ref_reduce(levels, out, tuple(i + j for i, j in zip(rest, r)), c * q)
+            return
+    out[exps] = out.get(exps, 0) + c
+
+
+def _ref_mul(levels, x, y):
+    out = {}
+    for a, p in x.items():
+        for b, q in y.items():
+            _ref_reduce(levels, out, tuple(i + j for i, j in zip(a, b)), p * q)
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_add(x, y, sign=1):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_render(x):
+    if not x:
+        return "0"
+    if not any(e for exps in x for e in exps):
+        return str(next(iter(x.values())))
+    parts = []
+    for exps in sorted(x, key=lambda e: e[::-1]):
+        factors = [f"({x[exps]})"]
+        factors += [f"g{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e]
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def _ref_debug_str(levels, x):
+    clauses = [f"g{i + 1}^{deg} = {_ref_render(r)}" for i, (deg, r) in enumerate(levels)]
+    return f"{_ref_render(x)} where {'; '.join(clauses)}"
+
+
+def _ref_embed(tower, x, k=None, high=()):
+    """Dense nested Horner of the g-basis coefficients, zeros included."""
+    k = tower.depth if k is None else k
+    if k == 0:
+        return complex(x.get(high, Fraction(0)))
+    level = tower.levels[k - 1]
+    acc = 0j
+    for i in reversed(range(level.deg)):
+        acc = acc * level.embed + _ref_embed(tower, x, k - 1, (i,) + high)
+    return acc
+
+
+def _ref_random(rng, degs, depth, terms):
+    """A reference element over the first ``depth`` of the levels ``degs``."""
+    x = {}
+    for _ in range(terms):
+        exps = tuple(rng.randrange(d) if i < depth else 0 for i, d in enumerate(degs))
+        x[exps] = x.get(exps, 0) + rand_fraction(rng, 30)
+    return {k: v for k, v in x.items() if v}
+
+
+def _from_ref(tower, gens, x):
+    """The kernel element of a reference element, built from generator powers."""
+    total = tower.zero
+    for exps, q in x.items():
+        term = tower.rational(q)
+        for g, e in zip(gens, exps):
+            for _ in range(e):
+                term = term * g
+        total = total + term
+    return total
+
+
+def _random_tower(rng, degs):
+    """A kernel tower with levels of degrees ``degs``, its generators and its
+    reference levels; radicands above the first level are not rational."""
+    tower, gens, levels = Tower(), [], []
+    for k, deg in enumerate(degs):
+        while True:
+            radicand = _ref_random(rng, degs, k, rng.randint(1, 4))
+            if k and not any(e for exps in radicand for e in exps):
+                continue
+            adjoin = tower.adjoin_sqrt if deg == 2 else tower.adjoin_cbrt
+            grown, g = adjoin(_from_ref(tower, gens, radicand))
+            if grown.depth > k:  # else a rational perfect power
+                break
+        tower, gens = grown, gens + [g]
+        levels.append((deg, radicand))
+    return tower, gens, levels
+
+
+def _check_against_reference(tower, gens, levels, x, y):
+    """Compare the kernel with the reference on x, y and what they make;
+    True when x was inverted."""
+    n = tower.depth
+    kx, ky = _from_ref(tower, gens, x), _from_ref(tower, gens, y)
+    for ref, got in (
+        (x, kx),
+        (y, ky),
+        ({k: -v for k, v in x.items()}, -kx),
+        (_ref_add(x, y), kx + ky),
+        (_ref_add(x, y, -1), kx - ky),
+        (_ref_mul(levels, x, y), kx * ky),
+        (_ref_mul(levels, x, x), kx * kx),
+    ):
+        assert got.debug_str() == _ref_debug_str(levels, ref)
+        want = _ref_embed(tower, ref)
+        assert (got.to_complex().real.hex(), got.to_complex().imag.hex()) == (
+            want.real.hex(),
+            want.imag.hex(),
+        )
+        assert got.is_zero() == (not ref)
+        rational = not any(e for exps in ref for e in exps)
+        assert got.as_rational() == (sum(ref.values(), Fraction(0)) if rational else None)
+    assert (kx == ky) == (x == y)
+    assert kx == _from_ref(tower, gens, dict(reversed(list(x.items()))))
+    # the same value on a longer tower is equal and hashes the same
+    longer, _ = tower.adjoin_sqrt(kx * kx + ky + 7)
+    if longer.depth > n:
+        lifted = kx + longer.zero
+        assert lifted.tower is longer
+        assert lifted == kx and hash(lifted) == hash(kx)
+        assert lifted.debug_str().startswith(kx.debug_str().split(" where ")[0])
+    if x:
+        try:
+            assert kx * kx.inverse() == tower.one
+            return True
+        except ReducibleExtensionError:
+            pass
+    return False
+
+
+def test_kernel_matches_reference_on_random_towers():
+    rng = random.Random(20261017)
+    inverted = 0
+    for _ in range(60):
+        degs = [rng.choice((2, 3)) for _ in range(rng.randint(1, 4))]
+        tower, gens, levels = _random_tower(rng, degs)
+        x, y = (_ref_random(rng, degs, len(degs), rng.randint(0, 5)) for _ in range(2))
+        inverted += _check_against_reference(tower, gens, levels, x, y)
+    assert inverted >= 40
+
+
+def _zero_divisor_tower(rng):
+    """g1 = sqrt(a); g2 = sqrt(s**2) for some s over g1, a reducible level;
+    g3, g4 with radicands (g2 - s)*u and (g2 + s)*v, whose product is zero;
+    g5 over all of them.  Returns the tower, generators, reference levels
+    and degrees."""
+    degs = [2, 2] + [rng.choice((2, 3)) for _ in range(3)]
+    tower, gens, levels = Tower(), [], []
+
+    def nonzero(depth):
+        while True:
+            x = _ref_random(rng, degs, depth, rng.randint(1, 3))
+            if x:
+                return x
+
+    def adjoin(radicand):
+        nonlocal tower, gens
+        deg = degs[len(levels)]
+        adjoin = tower.adjoin_sqrt if deg == 2 else tower.adjoin_cbrt
+        grown, g = adjoin(_from_ref(tower, gens, radicand))
+        assert grown.depth == len(levels) + 1
+        tower, gens = grown, gens + [g]
+        levels.append((deg, radicand))
+
+    adjoin({(0,) * 5: Fraction(rng.choice((2, 3, 5, 7)))})
+    s = nonzero(1)
+    s[(1, 0, 0, 0, 0)] = Fraction(rng.choice((-2, -1, 1, 2)))
+    adjoin(_ref_mul(levels, s, s))
+    g2 = {(0, 1, 0, 0, 0): Fraction(1)}
+    adjoin(_ref_mul(levels, _ref_add(g2, s, -1), nonzero(2)))
+    adjoin(_ref_mul(levels, _ref_add(g2, s), nonzero(2)))
+    adjoin(_ref_add(nonzero(4), {(0, 0, 1, 0, 0): Fraction(1)}))
+    return tower, gens, levels, degs
+
+
+def test_kernel_matches_reference_on_zero_divisor_towers():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        tower, gens, levels, degs = _zero_divisor_tower(rng)
+        # the top monomial makes x*x overflow every level at once
+        top = tuple(d - 1 for d in degs)
+        x, y = (_ref_random(rng, degs, 5, rng.randint(0, 4)) for _ in range(2))
+        x[top] = x.get(top, 0) + rand_fraction(rng, 30) or 1
+        _check_against_reference(tower, gens, levels, x, y)
