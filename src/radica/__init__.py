@@ -17,35 +17,27 @@ from .solvers import (
     DepressedCubic,
     DepressedQuartic,
     MonicCubic,
-    MonicQuadratic,
-    MonicQuartic,
     RootRecord,
     SolverError,
     StrictHypothesisViolation,
     ZeroLinearTerm,
     cardano_root,
-    cubic_roots_depressed_total,
     depress_cubic,
     depress_quartic,
-    quartic_roots_depressed_total,
     quartic_split_depressed,
     render_radical,
     resolvent_coeffs,
     solve_cubic,
-    solve_cubic_paper_strict,
-    solve_quadratic_general,
-    solve_quadratic_monic,
+    solve_linear,
+    solve_quadratic,
     solve_quartic,
-    solve_quartic_paper_strict,
 )
 from .tower import (
-    BigRational,
     ReducibleExtensionError,
     Tower,
     TowerElement,
     TowerField,
     TowerMismatchError,
-    rat_normalize,
 )
 from .verifier import (
     NoConvergence,
@@ -57,13 +49,13 @@ from .verifier import (
     negative_exhibit_two_cbrts,
     omega_twisting_cbrt,
     real_preferring_cbrt,
+    residuals,
     verify_solution,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "BiquadraticQuartic",
     "ComplexField",
     "DegenerateLeadingTerm",
@@ -71,8 +63,6 @@ __all__ = [
     "DepressedQuartic",
     "FieldCapabilities",
     "MonicCubic",
-    "MonicQuadratic",
-    "MonicQuartic",
     "NoConvergence",
     "ReducibleExtensionError",
     "RootRecord",
@@ -88,7 +78,6 @@ __all__ = [
     "cardano_root",
     "ccbrt_principal",
     "csqrt_principal",
-    "cubic_roots_depressed_total",
     "depress_cubic",
     "depress_quartic",
     "durand_kerner",
@@ -99,18 +88,15 @@ __all__ = [
     "negative_exhibit_two_cbrts",
     "omega",
     "omega_twisting_cbrt",
-    "quartic_roots_depressed_total",
     "quartic_split_depressed",
-    "rat_normalize",
     "real_preferring_cbrt",
     "render_radical",
+    "residuals",
     "resolvent_coeffs",
     "small_pow",
     "solve_cubic",
-    "solve_cubic_paper_strict",
-    "solve_quadratic_general",
-    "solve_quadratic_monic",
+    "solve_linear",
+    "solve_quadratic",
     "solve_quartic",
-    "solve_quartic_paper_strict",
     "verify_solution",
 ]

@@ -20,17 +20,14 @@ from .complexfield import ComplexField
 from .solvers import (
     SolverError,
     StrictHypothesisViolation,
-    _record,
-    _Traced,
-    quadratic_records,
     render_radical,
     solve_cubic,
-    solve_cubic_paper_strict,
+    solve_linear,
+    solve_quadratic,
     solve_quartic,
-    solve_quartic_paper_strict,
 )
 from .tower import ReducibleExtensionError, TowerField
-from .verifier import verify_solution
+from .verifier import residuals, verify_solution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -223,39 +220,15 @@ def _dense_coeffs(poly):
     return [poly.coefficients.get(d, 0) for d in range(degree, -1, -1)]
 
 
-def _linear_records(field, c1, c0):
-    t = _Traced(field)
-    root = t.div(t.neg(t.wrap(c0)), t.wrap(c1))
-    return [_record(field, "linear", root)]
-
-
 def _solve(field, coeffs, strict):
     degree = len(coeffs) - 1
     if degree == 1:
-        return _linear_records(field, coeffs[0], coeffs[1])
+        return solve_linear(field, *coeffs)
     if degree == 2:
-        a, b, c = coeffs
-        if field.is_zero(a):
-            raise SolverError("degenerate leading coefficient")
-        ainv = field.inverse(a)
-        return quadratic_records(field, field.mul(b, ainv), field.mul(c, ainv))
+        return solve_quadratic(field, *coeffs)
     if degree == 3:
-        fn = solve_cubic_paper_strict if strict else solve_cubic
-        return fn(field, *coeffs)
-    fn = solve_quartic_paper_strict if strict else solve_quartic
-    return fn(field, *coeffs)
-
-
-def _root_residual(field, coeffs, record):
-    if record.exact is not None:
-        from .verifier import horner_eval
-
-        value = horner_eval(field, coeffs, record.exact)
-        return 0.0 if field.is_zero(value) else abs(field.to_complex(value))
-    acc = 0j
-    for c in coeffs:
-        acc = acc * record.approx + field.to_complex(c)
-    return abs(acc)
+        return solve_cubic(field, *coeffs, strict)
+    return solve_quartic(field, *coeffs, strict)
 
 
 def _fmt_complex(z):
@@ -281,9 +254,9 @@ def _coefficients_json(poly):
     return out
 
 
-def _report_json(poly, backend_name, records, residuals, report, notes):
+def _report_json(poly, backend_name, records, values, report, notes):
     roots = []
-    for record, residual in zip(records, residuals):
+    for record, residual in zip(records, values):
         roots.append(
             {
                 "label": record.label,
@@ -358,23 +331,23 @@ def _cmd_solve(args):
 
     if args.verify:
         report = verify_solution(field, coeffs, records)
-        residuals = report.residuals
+        values = report.residuals
     else:
         report = None
-        residuals = [_root_residual(field, coeffs, rec) for rec in records]
+        values, _ = residuals(field, coeffs, records)
 
     order = sorted(
         range(len(records)), key=lambda i: (records[i].approx.real, records[i].approx.imag)
     )
     records = [records[i] for i in order]
-    residuals = [residuals[i] for i in order]
+    values = [values[i] for i in order]
 
     if args.format == "json":
-        payload = _report_json(poly, backend_name, records, residuals, report, notes)
+        payload = _report_json(poly, backend_name, records, values, report, notes)
         print(json.dumps(payload, indent=2))
     else:
         print(f"{poly.source.strip()}: degree {degree}, field {backend_name}")
-        for record, residual in zip(records, residuals):
+        for record, residual in zip(records, values):
             line = f"  {record.label}: {_fmt_complex(record.approx)}"
             exact_q = None
             if record.exact is not None:
@@ -450,7 +423,8 @@ def run(argv=None):
     sp.add_argument(
         "--paper-strict",
         action="store_true",
-        help="use the restricted entry points and reject excluded cases",
+        help="use the strict mode of the cubic and quartic solvers, which "
+        "rejects inputs outside the formulas' hypotheses",
     )
     sp.set_defaults(func=_cmd_solve)
 

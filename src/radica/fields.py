@@ -27,10 +27,6 @@ class FieldCapabilities:
     #: elements carry exact values (residual checks may demand literal zero)
     is_exact = False
 
-    #: witnesses that 1+1 != 0 and 1+1+1 != 0
-    two_nonzero = True
-    three_nonzero = True
-
     # Root providers; subclasses override with methods when available.
     sqrt = None
     cbrt = None

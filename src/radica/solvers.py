@@ -7,9 +7,12 @@ an arbitrary root provider because nothing forces 3st = c (the verifier
 module carries a demonstration).  The quartic is split into two quadratics
 whose parameters come from a root of the resolvent cubic.
 
-Each solver runs over any backend satisfying the field contract.  The
-total entry points case-split on decidable zero tests and cover the
-degenerate inputs the restricted (`*_paper_strict`) entry points reject.
+There is one solver per degree, ``solve_linear`` to ``solve_quartic``,
+each taking leading-first general coefficients over any backend satisfying
+the field contract and returning root records.  By default the cubic and
+quartic solvers case-split on decidable zero tests and cover every
+degenerate input; with ``strict=True`` they demand the formulas'
+nonzeroness hypotheses instead and raise ``StrictHypothesisViolation``.
 """
 
 from __future__ import annotations
@@ -40,13 +43,7 @@ class BiquadraticQuartic(SolverError):
 
 
 class StrictHypothesisViolation(SolverError):
-    """Input excluded by the restricted entry point's hypotheses."""
-
-
-@dataclass(frozen=True)
-class MonicQuadratic:
-    b: Any
-    c: Any
+    """Input excluded by the formula's hypotheses in strict mode."""
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,6 @@ class MonicCubic:
     b: Any
     c: Any
     d: Any
-
-
-@dataclass(frozen=True)
-class MonicQuartic:
-    b: Any
-    c: Any
-    d: Any
-    e: Any
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,7 @@ def _record(field, label, tv):
 
 
 # ---------------------------------------------------------------------------
-# Quadratic.
+# Linear and quadratic.
 # ---------------------------------------------------------------------------
 
 
@@ -204,28 +193,33 @@ def _quadratic_monic_t(t, b, c):
     return plus, minus
 
 
-def solve_quadratic_monic(field, b, c):
-    """Roots of x**2 + b*x + c as ((-b + sqrt(b**2 - 4c))/2, (-b - ...)/2).
-
-    For b = 0 the pair is (sqrt(-c), -sqrt(-c)) directly.  When the
-    discriminant is zero the two returned roots coincide.
-    """
-    t = _Traced(field)
-    plus, minus = _quadratic_monic_t(t, t.wrap(b), t.wrap(c))
-    return plus.value, minus.value
-
-
-def solve_quadratic_general(field, a, b, c):
-    """Roots of a*x**2 + b*x + c; requires a != 0."""
+def _monic(field, a, *rest):
     if field.is_zero(a):
         raise DegenerateLeadingTerm("degenerate leading coefficient")
     ainv = field.inverse(a)
-    return solve_quadratic_monic(field, field.mul(b, ainv), field.mul(c, ainv))
+    return [field.mul(x, ainv) for x in rest]
 
 
-def quadratic_records(field, b, c):
+def _shifted_records(field, t, tvs, shift):
+    return [_record(field, label, t.sub(tv, shift)) for label, tv in tvs]
+
+
+def solve_linear(field, a, b):
+    """The root -b/a of a*x + b (a != 0), as one record."""
     t = _Traced(field)
-    plus, minus = _quadratic_monic_t(t, t.wrap(b), t.wrap(c))
+    return [_record(field, "linear", t.div(t.neg(t.wrap(b)), t.wrap(a)))]
+
+
+def solve_quadratic(field, a, b, c):
+    """Both roots of a*x**2 + b*x + c (a != 0), as two records.
+
+    With B = b/a and C = c/a the roots are (-B + sqrt(B**2 - 4C))/2 and
+    (-B - ...)/2; for B = 0 the pair is (sqrt(-C), -sqrt(-C)) directly.
+    When the discriminant is zero the two roots coincide.
+    """
+    nb, nc = _monic(field, a, b, c)
+    t = _Traced(field)
+    plus, minus = _quadratic_monic_t(t, t.wrap(nb), t.wrap(nc))
     return [
         _record(field, "quadratic-plus", plus),
         _record(field, "quadratic-minus", minus),
@@ -295,87 +289,56 @@ def cardano_root(field, dc, branch=0):
     return tv.value
 
 
-def _cubic_depressed_tvs(t, c, d):
-    if t.is_zero(c):
+def _cubic_depressed_tvs(t, c, d, strict=False):
+    """Labeled roots of u**3 + c*u + d, with repetition when they coincide.
+
+    Case split: c = 0 gives the three cube roots of -d; d = 0 gives 0 and
+    +-sqrt(-c); otherwise the three Cardano branches.  ``strict`` skips
+    the split and takes Cardano, which then requires c != 0.
+    """
+    if not strict and t.is_zero(c):
         base = t.cbrt(t.neg(d))
         return [
             ("cuberoot-A", base),
             ("cuberoot-B", t.omega_mul(1, base)),
             ("cuberoot-C", t.omega_mul(2, base)),
         ]
-    if t.is_zero(d):
+    if not strict and t.is_zero(d):
         root = t.sqrt(t.neg(c))
         zero = t.int_(0)
         return [("zero", zero), ("sqrt-plus", root), ("sqrt-minus", t.neg(root))]
     return [
-        ("cardano-A", _cardano_t(t, c, d, 0)),
-        ("cardano-B", _cardano_t(t, c, d, 1)),
-        ("cardano-C", _cardano_t(t, c, d, 2)),
+        (f"cardano-{name}", _cardano_t(t, c, d, branch))
+        for branch, name in enumerate("ABC")
     ]
 
 
-def cubic_roots_depressed_total(field, c, d):
-    """All three roots of u**3 + c*u + d, with repetition when they coincide.
+def solve_cubic(field, a, b, c, d, strict=False):
+    """All roots of a*x**3 + b*x**2 + c*x + d (a != 0), as three records.
 
-    Case split: c = 0 gives the three cube roots of -d; d = 0 gives 0 and
-    +-sqrt(-c); otherwise the three Cardano branches.
+    ``strict`` mirrors the formula's hypotheses exactly: it requires
+    3ac - b**2 != 0 and 2b**3 - 9abc + 27a**2*d != 0 (the depressed c' and
+    d' are nonzero) and always takes the Cardano branches.
     """
-    t = _Traced(field)
-    tvs = _cubic_depressed_tvs(t, t.wrap(c), t.wrap(d))
-    return [_record(field, label, tv) for label, tv in tvs]
-
-
-def _shifted_records(field, t, tvs, shift):
-    out = []
-    for label, tv in tvs:
-        out.append(_record(field, label, t.sub(tv, shift)))
-    return out
-
-
-def _monic3(field, a, b, c, d):
-    if field.is_zero(a):
-        raise DegenerateLeadingTerm("degenerate leading coefficient")
-    ainv = field.inverse(a)
-    return field.mul(b, ainv), field.mul(c, ainv), field.mul(d, ainv)
-
-
-def solve_cubic(field, a, b, c, d):
-    """All roots of a*x**3 + b*x**2 + c*x + d (a != 0), as three records."""
-    nb, nc, nd = _monic3(field, a, b, c, d)
+    nb, nc, nd = _monic(field, a, b, c, d)
+    if strict:
+        three = from_integer(field, 3)
+        q1 = field.sub(field.mul(three, field.mul(a, c)), field.mul(b, b))
+        if field.is_zero(q1):
+            raise StrictHypothesisViolation("3ac - b^2 = 0")
+        b3 = field.mul(field.mul(b, b), b)
+        q2 = field.add(
+            field.sub(
+                field.mul(from_integer(field, 2), b3),
+                field.mul(from_integer(field, 9), field.mul(a, field.mul(b, c))),
+            ),
+            field.mul(from_integer(field, 27), field.mul(field.mul(a, a), d)),
+        )
+        if field.is_zero(q2):
+            raise StrictHypothesisViolation("2b^3 - 9abc + 27a^2*d = 0")
     t = _Traced(field)
     cp, dp, shift = _depress_cubic_t(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
-    tvs = _cubic_depressed_tvs(t, cp, dp)
-    return _shifted_records(field, t, tvs, shift)
-
-
-def solve_cubic_paper_strict(field, a, b, c, d):
-    """Restricted entry point mirroring the formula's hypotheses exactly:
-    requires 3ac - b**2 != 0 and 2b**3 - 9abc + 27a**2*d != 0."""
-    if field.is_zero(a):
-        raise DegenerateLeadingTerm("degenerate leading coefficient")
-    three = from_integer(field, 3)
-    q1 = field.sub(field.mul(three, field.mul(a, c)), field.mul(b, b))
-    if field.is_zero(q1):
-        raise StrictHypothesisViolation("3ac - b^2 = 0")
-    b3 = field.mul(field.mul(b, b), b)
-    q2 = field.add(
-        field.sub(
-            field.mul(from_integer(field, 2), b3),
-            field.mul(from_integer(field, 9), field.mul(a, field.mul(b, c))),
-        ),
-        field.mul(from_integer(field, 27), field.mul(field.mul(a, a), d)),
-    )
-    if field.is_zero(q2):
-        raise StrictHypothesisViolation("2b^3 - 9abc + 27a^2*d = 0")
-    nb, nc, nd = _monic3(field, a, b, c, d)
-    t = _Traced(field)
-    cp, dp, shift = _depress_cubic_t(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
-    tvs = [
-        ("cardano-A", _cardano_t(t, cp, dp, 0)),
-        ("cardano-B", _cardano_t(t, cp, dp, 1)),
-        ("cardano-C", _cardano_t(t, cp, dp, 2)),
-    ]
-    return _shifted_records(field, t, tvs, shift)
+    return _shifted_records(field, t, _cubic_depressed_tvs(t, cp, dp, strict), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +372,20 @@ def depress_quartic(field, b, c, d, e):
     return DepressedQuartic(cp.value, dp.value, ep.value, shift.value)
 
 
+def _resolvent_t(t, c, d, e):
+    return (
+        t.mul(t.int_(2), c),
+        t.sub(t.mul(c, c), t.mul(t.int_(4), e)),
+        t.neg(t.mul(d, d)),
+    )
+
+
 def resolvent_coeffs(field, c, d, e):
     """Monic cubic in P = p**2 parameterizing the split of u**4 + cu**2 + du + e:
     P**3 + 2c*P**2 + (c**2 - 4e)*P - d**2 = 0."""
-    two_c = field.mul(from_integer(field, 2), c)
-    mid = field.sub(field.mul(c, c), field.mul(from_integer(field, 4), e))
-    last = field.neg(field.mul(d, d))
-    return MonicCubic(two_c, mid, last)
+    t = _Traced(field)
+    rb, rc, rd = _resolvent_t(t, t.wrap(c), t.wrap(d), t.wrap(e))
+    return MonicCubic(rb.value, rc.value, rd.value)
 
 
 def _quartic_split_t(t, c, d, e, strict=False, resolvent_root=None):
@@ -424,19 +394,8 @@ def _quartic_split_t(t, c, d, e, strict=False, resolvent_root=None):
     if resolvent_root is not None:
         candidates = [resolvent_root]
     else:
-        rb = t.mul(t.int_(2), c)
-        rc = t.sub(t.mul(c, c), t.mul(t.int_(4), e))
-        rd = t.neg(t.mul(d, d))
-        cp, dp, shift = _depress_cubic_t(t, rb, rc, rd)
-        if strict:
-            depressed = [
-                ("cardano-A", _cardano_t(t, cp, dp, 0)),
-                ("cardano-B", _cardano_t(t, cp, dp, 1)),
-                ("cardano-C", _cardano_t(t, cp, dp, 2)),
-            ]
-        else:
-            depressed = _cubic_depressed_tvs(t, cp, dp)
-        candidates = [t.sub(tv, shift) for _, tv in depressed]
+        cp, dp, shift = _depress_cubic_t(t, *_resolvent_t(t, c, d, e))
+        candidates = [t.sub(tv, shift) for _, tv in _cubic_depressed_tvs(t, cp, dp, strict)]
     # every resolvent root is nonzero when d != 0 (their product is d**2),
     # but the float backend's zero test may fire near zero; fall through
     for cand in candidates:
@@ -469,6 +428,11 @@ def quartic_split_depressed(field, c, d, e, resolvent_root=None):
 
 
 def _quartic_depressed_tvs(t, c, d, e, strict=False):
+    """Labeled roots of u**4 + cu**2 + du + e, with repetition.
+
+    d = 0 solves the quadratic in u**2 and takes square roots; otherwise
+    the two quadratic factors from the resolvent split are solved.
+    """
     if t.is_zero(d):
         y1, y2 = _quadratic_monic_t(t, c, e)
         r1 = t.sqrt(y1)
@@ -490,52 +454,25 @@ def _quartic_depressed_tvs(t, c, d, e, strict=False):
     ]
 
 
-def quartic_roots_depressed_total(field, c, d, e):
-    """All four roots of u**4 + cu**2 + du + e, with repetition.
+def solve_quartic(field, a, b, c, d, e, strict=False):
+    """All roots of a*x**4 + ... + e (a != 0), as four records.
 
-    d = 0 solves the quadratic in u**2 and takes square roots; otherwise
-    the two quadratic factors from the resolvent split are solved.
+    ``strict`` requires the depressed coefficients to satisfy d' != 0,
+    e' != 0 and c'**2 + 12e' != 0, and solves the resolvent cubic by
+    Cardano's branches alone.
     """
-    t = _Traced(field)
-    tvs = _quartic_depressed_tvs(t, t.wrap(c), t.wrap(d), t.wrap(e))
-    return [_record(field, label, tv) for label, tv in tvs]
-
-
-def _monic4(field, a, b, c, d, e):
-    if field.is_zero(a):
-        raise DegenerateLeadingTerm("degenerate leading coefficient")
-    ainv = field.inverse(a)
-    return (
-        field.mul(b, ainv),
-        field.mul(c, ainv),
-        field.mul(d, ainv),
-        field.mul(e, ainv),
-    )
-
-
-def solve_quartic(field, a, b, c, d, e):
-    """All roots of a*x**4 + ... + e (a != 0), as four records."""
-    nb, nc, nd, ne = _monic4(field, a, b, c, d, e)
+    nb, nc, nd, ne = _monic(field, a, b, c, d, e)
     t = _Traced(field)
     cp, dp, ep, shift = _depress_quartic_t(t, t.wrap(nb), t.wrap(nc), t.wrap(nd), t.wrap(ne))
-    tvs = _quartic_depressed_tvs(t, cp, dp, ep)
-    return _shifted_records(field, t, tvs, shift)
-
-
-def solve_quartic_paper_strict(field, a, b, c, d, e):
-    """Restricted entry point: requires the depressed coefficients to satisfy
-    d' != 0, e' != 0, and c'**2 + 12e' != 0."""
-    nb, nc, nd, ne = _monic4(field, a, b, c, d, e)
-    t = _Traced(field)
-    cp, dp, ep, shift = _depress_quartic_t(t, t.wrap(nb), t.wrap(nc), t.wrap(nd), t.wrap(ne))
-    if t.is_zero(dp):
-        raise StrictHypothesisViolation("depressed d' = 0 (biquadratic case)")
-    if t.is_zero(ep):
-        raise StrictHypothesisViolation("depressed e' = 0")
-    cond = t.add(t.mul(cp, cp), t.mul(t.int_(12), ep))
-    if t.is_zero(cond):
-        raise StrictHypothesisViolation("c'^2 + 12e' = 0 (resolvent hypothesis)")
-    tvs = _quartic_depressed_tvs(t, cp, dp, ep, strict=True)
+    if strict:
+        if t.is_zero(dp):
+            raise StrictHypothesisViolation("depressed d' = 0 (biquadratic case)")
+        if t.is_zero(ep):
+            raise StrictHypothesisViolation("depressed e' = 0")
+        cond = t.add(t.mul(cp, cp), t.mul(t.int_(12), ep))
+        if t.is_zero(cond):
+            raise StrictHypothesisViolation("c'^2 + 12e' = 0 (resolvent hypothesis)")
+    tvs = _quartic_depressed_tvs(t, cp, dp, ep, strict)
     return _shifted_records(field, t, tvs, shift)
 
 

@@ -33,11 +33,6 @@ from math import gcd
 from .complexfield import ccbrt_principal, csqrt_principal
 from .fields import FieldCapabilities
 
-#: The exact base field scalar: arbitrary precision, positive denominator,
-#: numerator coprime with denominator, zero uniquely 0/1.
-BigRational = Fraction
-
-
 class TowerMismatchError(ValueError):
     """Raised when combining elements of towers where neither extends the other."""
 
@@ -54,13 +49,6 @@ class ReducibleExtensionError(ArithmeticError):
     def __init__(self, factor):
         super().__init__("reducible extension")
         self.factor = factor
-
-
-def rat_normalize(num, den):
-    """Normalized rational num/den: sign on the numerator, gcd divided out."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    return Fraction(num, den)
 
 
 def _isqrt_exact(n):

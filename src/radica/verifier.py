@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .complexfield import approx_eq, ccbrt_principal, csqrt_principal
+from .complexfield import ComplexField, approx_eq, ccbrt_principal, csqrt_principal
 
 FLOAT_RESIDUAL_TOL = 1e-6
 ORACLE_MATCH_TOL = 1e-6
@@ -134,6 +134,37 @@ def match_root_multisets(a, b, tol):
     return MatchResult(matched, best_perm, max_dist)
 
 
+def _scale(numeric):
+    return max(1.0, max(abs(z) for z in numeric))
+
+
+def residuals(field, coeffs, records):
+    """|p(root)| for each record, and whether every one is acceptable.
+
+    ``coeffs`` are leading-first backend elements.  A record with an exact
+    value is substituted exactly and must give literally zero; otherwise
+    its approximation is substituted in complex doubles and must stay
+    within 1e-6 times the largest coefficient magnitude (at least 1).
+    """
+    values = []
+    ok = True
+    numeric = tol = None
+    for rec in records:
+        if rec.exact is not None:
+            value = horner_eval(field, coeffs, rec.exact)
+            within = field.is_zero(value)
+            residual = 0.0 if within else abs(field.to_complex(value))
+        else:
+            if numeric is None:
+                numeric = [field.to_complex(c) for c in coeffs]
+                tol = FLOAT_RESIDUAL_TOL * _scale(numeric)
+            residual = abs(_chorner(numeric, rec.approx))
+            within = residual <= tol
+        values.append(residual)
+        ok = ok and within
+    return values, ok
+
+
 @dataclass
 class VerificationReport:
     """Checks for one solve: per-root residuals, the factorization identity,
@@ -159,8 +190,8 @@ def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
     """Check solver output against the input polynomial.
 
     ``coeffs`` are leading-first backend elements (degree 1 to 4) and
-    ``records`` the degree-many root records.  Residuals are exact where
-    records carry exact values (demanded to be literally zero), numeric
+    ``records`` the degree-many root records.  Residuals come from
+    ``residuals``: exact where records carry exact values, numeric
     otherwise (|p(root)| <= 1e-6 * scale).  The factorization identity
     recovers the monic coefficient list from the roots, and the oracle
     check matches root multisets against Durand-Kerner.  Oracle
@@ -173,21 +204,9 @@ def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
         raise ValueError("record count must equal the degree")
     notes = []
     numeric = [field.to_complex(c) for c in coeffs]
-    scale = max(1.0, max(abs(z) for z in numeric))
+    scale = _scale(numeric)
     threshold = 0.0 if field.is_exact else FLOAT_RESIDUAL_TOL * scale
-
-    residuals = []
-    residuals_ok = True
-    for rec in records:
-        if rec.exact is not None:
-            value = horner_eval(field, coeffs, rec.exact)
-            ok = field.is_zero(value)
-            residuals.append(0.0 if ok else abs(field.to_complex(value)))
-        else:
-            residual = abs(_chorner(numeric, rec.approx))
-            ok = residual <= FLOAT_RESIDUAL_TOL * scale
-            residuals.append(residual)
-        residuals_ok = residuals_ok and ok
+    values, residuals_ok = residuals(field, coeffs, records)
 
     ainv = field.inverse(coeffs[0])
     monic = [field.mul(c, ainv) for c in coeffs]
@@ -201,15 +220,7 @@ def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
     else:
         lead = numeric[0]
         monic_num = [z / lead for z in numeric]
-        expanded = [1 + 0j]
-        for rec in records:
-            nxt = []
-            for i in range(len(expanded) + 1):
-                term = expanded[i] if i < len(expanded) else 0j
-                if i > 0:
-                    term -= rec.approx * expanded[i - 1]
-                nxt.append(term)
-            expanded = nxt
+        expanded = expand_monic_from_roots(ComplexField(), [rec.approx for rec in records])
         factorization_exact = None
         factorization_error = max(
             abs(x - y) for x, y in zip(expanded, monic_num)
@@ -231,7 +242,7 @@ def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
 
     return VerificationReport(
         backend=field.name,
-        residuals=residuals,
+        residuals=values,
         residual_threshold=threshold,
         residuals_ok=residuals_ok,
         factorization_exact=factorization_exact,

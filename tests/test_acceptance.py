@@ -19,7 +19,6 @@ from radica import (
     StrictHypothesisViolation,
     TowerField,
     cardano_root,
-    cubic_roots_depressed_total,
     depress_cubic,
     depress_quartic,
     durand_kerner,
@@ -29,12 +28,10 @@ from radica import (
     negative_exhibit_two_cbrts,
     omega,
     omega_twisting_cbrt,
-    quartic_roots_depressed_total,
     quartic_split_depressed,
     solve_cubic,
-    solve_cubic_paper_strict,
+    solve_quadratic,
     solve_quartic,
-    solve_quartic_paper_strict,
     verify_solution,
 )
 from radica.cli import run
@@ -88,7 +85,7 @@ def test_cubic_factorization_uniqueness():
     for c, d in corpus:
         f = TowerField()
         fc, fd = f.from_rational(c), f.from_rational(d)
-        records = cubic_roots_depressed_total(f, fc, fd)
+        records = solve_cubic(f, f.one, f.zero, fc, fd)
         expanded = expand_monic_from_roots(f, [r.exact for r in records])
         for got, want in zip(expanded, [f.one, f.zero, fc, fd]):
             if not f.eq(got, want):
@@ -98,7 +95,7 @@ def test_cubic_factorization_uniqueness():
         c, d = corpus[rng.randrange(len(corpus))]
         f = TowerField()
         fc, fd = f.from_rational(c), f.from_rational(d)
-        records = cubic_roots_depressed_total(f, fc, fd)
+        records = solve_cubic(f, f.one, f.zero, fc, fd)
         x = f.from_rational(_frac(rng))
         if any(f.eq(x, r.exact) for r in records):
             continue
@@ -114,14 +111,12 @@ def test_cubic_factorization_uniqueness():
 def test_quadratic_suite():
     rng = random.Random(SEED + 2)
     ok = True
-    from radica.solvers import quadratic_records
-
     for _ in range(500):
         a, b, c = _frac(rng, nonzero=True), _frac(rng), _frac(rng)
         f = TowerField()
         fa, fb, fc = (f.from_rational(q) for q in (a, b, c))
         ainv = f.inverse(fa)
-        records = quadratic_records(f, f.mul(fb, ainv), f.mul(fc, ainv))
+        records = solve_quadratic(f, f.one, f.mul(fb, ainv), f.mul(fc, ainv))
         coeffs = [fa, fb, fc]
         for r in records:
             if not f.is_zero(horner_eval(f, coeffs, r.exact)):
@@ -164,7 +159,7 @@ def test_quartic_split_identity():
                 and f.eq(f.mul(q, s), fe)
             ):
                 ok = False
-            records = quartic_roots_depressed_total(f, fc, fd, fe)
+            records = solve_quartic(f, f.one, f.zero, fc, fd, fe)
             coeffs = [f.one, f.zero, fc, fd, fe]
             for r in records:
                 if not f.is_zero(horner_eval(f, coeffs, r.exact)):
@@ -174,8 +169,8 @@ def test_quartic_split_identity():
             float_fallbacks += 1
             scale = max(1.0, float(max(abs(c), abs(d), abs(e))))
             cf = ComplexField(scale=scale)
-            records = quartic_roots_depressed_total(
-                cf, complex(float(c)), complex(float(d)), complex(float(e))
+            records = solve_quartic(
+                cf, cf.one, cf.zero, complex(float(c)), complex(float(d)), complex(float(e))
             )
             for r in records:
                 residual = abs(
@@ -268,9 +263,9 @@ def test_degenerate_coverage():
     def strict_rejects(degree, coeffs, needle):
         f = TowerField()
         elems = [f.from_rational(q) for q in coeffs]
-        strict = solve_cubic_paper_strict if degree == 3 else solve_quartic_paper_strict
+        solve = solve_cubic if degree == 3 else solve_quartic
         try:
-            strict(f, *elems)
+            solve(f, *elems, strict=True)
         except StrictHypothesisViolation as exc:
             return needle in str(exc)
         return False

@@ -11,14 +11,18 @@ from radica.cli import ParseError, parse_polynomial, run
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN = os.path.join(GOLDEN_DIR, "cardano_x3_6x_9.json")
 
-#: ``solve --format json --verify`` reports stored byte for byte
+#: ``solve --format json --verify [flags]`` reports stored byte for byte
 BYTE_GOLDENS = {
-    "cardano_x3_6x_9.json": "x^3 - 6*x - 9",
-    "rational_cubic_x3_7x_6.json": "x^3 - 7*x + 6",
-    "casus_cubic_x3_3x_1.json": "x^3 - 3*x + 1",
-    "depth6_quartic_seed1.json": "1/3*x^4 + 2/5*x^3 + 8/5*x^2 - 7*x + 13/17",
-    "biquadratic_x4_10x2_1.json": "x^4 - 10*x^2 + 1",
-    "quadratic_x2_x_1.json": "x^2 - x - 1",
+    "cardano_x3_6x_9.json": ("x^3 - 6*x - 9",),
+    "rational_cubic_x3_7x_6.json": ("x^3 - 7*x + 6",),
+    "casus_cubic_x3_3x_1.json": ("x^3 - 3*x + 1",),
+    "depth6_quartic_seed1.json": ("1/3*x^4 + 2/5*x^3 + 8/5*x^2 - 7*x + 13/17",),
+    "biquadratic_x4_10x2_1.json": ("x^4 - 10*x^2 + 1",),
+    "quadratic_x2_x_1.json": ("x^2 - x - 1",),
+    "strict_cardano_x3_6x_9.json": ("x^3 - 6*x - 9", "--paper-strict"),
+    # the depressed resolvent constant is 0: strict mode takes Cardano on the
+    # resolvent cubic where the default mode takes its zero/sqrt split
+    "strict_quartic_zero_resolvent_constant.json": ("x^4 + 3*x^2 + x + 3/8", "--paper-strict"),
 }
 
 
@@ -167,7 +171,8 @@ def test_json_golden_cardano(capsys):
 
 @pytest.mark.parametrize("name", sorted(BYTE_GOLDENS))
 def test_json_golden_bytes(capsys, name):
-    code = run(["solve", "--format", "json", "--verify", "--", BYTE_GOLDENS[name]])
+    polynomial, *flags = BYTE_GOLDENS[name]
+    code = run(["solve", "--format", "json", "--verify", *flags, "--", polynomial])
     assert code == 0
     with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
         assert capsys.readouterr().out == fh.read()

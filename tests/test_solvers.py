@@ -13,20 +13,15 @@ from radica import (
     TowerField,
     ZeroLinearTerm,
     cardano_root,
-    cubic_roots_depressed_total,
     depress_cubic,
     depress_quartic,
     horner_eval,
-    quartic_roots_depressed_total,
     quartic_split_depressed,
     render_radical,
     resolvent_coeffs,
     solve_cubic,
-    solve_cubic_paper_strict,
-    solve_quadratic_general,
-    solve_quadratic_monic,
+    solve_quadratic,
     solve_quartic,
-    solve_quartic_paper_strict,
 )
 from radica.complexfield import csqrt_principal
 from radica.radicals import evaluate
@@ -65,41 +60,43 @@ def _poly_compose_shift(coeffs, shift):
 
 def test_quadratic_monic_simple_roots():
     f = TowerField()
-    r1, r2 = solve_quadratic_monic(f, f.from_rational(-3), f.from_rational(2))
+    recs = solve_quadratic(f, f.one, f.from_rational(-3), f.from_rational(2))
+    r1, r2 = [r.exact for r in recs]
     assert {f.as_rational(r1), f.as_rational(r2)} == {2, 1}
 
 
 def test_quadratic_monic_pure_square_root_form():
     f = TowerField()
-    r1, r2 = solve_quadratic_monic(f, f.zero, f.from_rational(-5))
+    r1, r2 = [r.exact for r in solve_quadratic(f, f.one, f.zero, f.from_rational(-5))]
     assert f.eq(r1, f.neg(r2))
     assert f.is_zero(f.sub(f.mul(r1, r1), f.from_rational(5)))
 
 
 def test_quadratic_monic_double_root_at_zero():
     f = TowerField()
-    r1, r2 = solve_quadratic_monic(f, f.zero, f.zero)
+    r1, r2 = [r.exact for r in solve_quadratic(f, f.one, f.zero, f.zero)]
     assert f.is_zero(r1) and f.is_zero(r2)
 
 
 def test_quadratic_general_scales_to_monic():
     f = TowerField()
-    r1, r2 = solve_quadratic_general(
-        f, f.from_rational(2), f.from_rational(-6), f.from_rational(4)
-    )
+    r1, r2 = [
+        r.exact
+        for r in solve_quadratic(f, f.from_rational(2), f.from_rational(-6), f.from_rational(4))
+    ]
     assert {f.as_rational(r1), f.as_rational(r2)} == {2, 1}
 
 
 def test_quadratic_general_x_squared_minus_4():
     f = TowerField()
-    r1, r2 = solve_quadratic_general(f, f.one, f.zero, f.from_rational(-4))
+    r1, r2 = [r.exact for r in solve_quadratic(f, f.one, f.zero, f.from_rational(-4))]
     assert {f.as_rational(r1), f.as_rational(r2)} == {2, -2}
 
 
 def test_quadratic_general_rejects_zero_leading():
     f = TowerField()
     with pytest.raises(DegenerateLeadingTerm):
-        solve_quadratic_general(f, f.zero, f.one, f.one)
+        solve_quadratic(f, f.zero, f.one, f.one)
 
 
 # -- cubic depression ----------------------------------------------------------
@@ -198,7 +195,7 @@ def test_cardano_substitution_zero_random(rng):
 
 def test_cubic_total_pure_cube_roots():
     f = TowerField()
-    recs = cubic_roots_depressed_total(f, f.zero, f.from_rational(-8))
+    recs = solve_cubic(f, f.one, f.zero, f.zero, f.from_rational(-8))
     labels = [r.label for r in recs]
     assert labels == ["cuberoot-A", "cuberoot-B", "cuberoot-C"]
     w = complex(-0.5, 0.8660254037844386)
@@ -209,14 +206,14 @@ def test_cubic_total_pure_cube_roots():
 
 def test_cubic_total_zero_d_case():
     f = TowerField()
-    recs = cubic_roots_depressed_total(f, f.from_rational(-4), f.zero)
+    recs = solve_cubic(f, f.one, f.zero, f.from_rational(-4), f.zero)
     assert _multiset(recs) == [(-2.0, 0.0), (0.0, 0.0), (2.0, 0.0)]
     assert [r.label for r in recs] == ["zero", "sqrt-plus", "sqrt-minus"]
 
 
 def test_cubic_total_generic_case():
     f = TowerField()
-    recs = cubic_roots_depressed_total(f, f.from_rational(-6), f.from_rational(-9))
+    recs = solve_cubic(f, f.one, f.zero, f.from_rational(-6), f.from_rational(-9))
     assert _multiset(recs) == [
         (-1.5, -0.866025404),
         (-1.5, 0.866025404),
@@ -226,7 +223,7 @@ def test_cubic_total_generic_case():
 
 def test_cubic_total_returns_three_records_with_repetition():
     f = TowerField()
-    recs = cubic_roots_depressed_total(f, f.zero, f.zero)
+    recs = solve_cubic(f, f.one, f.zero, f.zero, f.zero)
     assert len(recs) == 3
     assert all(f.is_zero(r.exact) for r in recs)
 
@@ -256,17 +253,17 @@ def test_solve_cubic_rejects_zero_leading():
 def test_strict_cubic_rejects_paper_excluded_inputs():
     f = TowerField()
     with pytest.raises(StrictHypothesisViolation, match="3ac - b\\^2"):
-        solve_cubic_paper_strict(f, *(f.from_rational(q) for q in (1, 0, 0, -8)))
+        solve_cubic(f, *(f.from_rational(q) for q in (1, 0, 0, -8)), strict=True)
     f = TowerField()
     # x**3 - 3x + 2 has 2b^3 - 9abc + 27a^2 d = 54 - 0... pick d' = 0 instead:
     # depressed d' = 0 iff 2b^3 - 9abc + 27d = 0; with b=0: d = 0
     with pytest.raises(StrictHypothesisViolation, match="2b\\^3"):
-        solve_cubic_paper_strict(f, *(f.from_rational(q) for q in (1, 0, -4, 0)))
+        solve_cubic(f, *(f.from_rational(q) for q in (1, 0, -4, 0)), strict=True)
 
 
 def test_strict_cubic_matches_total_on_generic_input():
     f1, f2 = TowerField(), TowerField()
-    a = solve_cubic_paper_strict(f1, *(f1.from_rational(q) for q in (1, 1, -6, -9)))
+    a = solve_cubic(f1, *(f1.from_rational(q) for q in (1, 1, -6, -9)), strict=True)
     b = solve_cubic(f2, *(f2.from_rational(q) for q in (1, 1, -6, -9)))
     assert _multiset(a) == _multiset(b)
 
@@ -372,16 +369,14 @@ def test_quartic_split_rejects_biquadratic():
 
 def test_quartic_total_biquadratic():
     f = TowerField()
-    recs = quartic_roots_depressed_total(
-        f, f.from_rational(-5), f.zero, f.from_rational(4)
-    )
+    recs = solve_quartic(f, f.one, f.zero, f.from_rational(-5), f.zero, f.from_rational(4))
     assert _multiset(recs) == [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
 
 
 def test_quartic_total_generic():
     f = TowerField()
-    recs = quartic_roots_depressed_total(
-        f, f.from_rational(2), f.from_rational(1), f.from_rational(2)
+    recs = solve_quartic(
+        f, f.one, f.zero, f.from_rational(2), f.from_rational(1), f.from_rational(2)
     )
     coeffs = [f.one, f.zero, f.from_rational(2), f.from_rational(1), f.from_rational(2)]
     for r in recs:
@@ -397,7 +392,7 @@ def test_quartic_total_generic():
 
 def test_quartic_total_all_zero():
     f = TowerField()
-    recs = quartic_roots_depressed_total(f, f.zero, f.zero, f.zero)
+    recs = solve_quartic(f, f.one, f.zero, f.zero, f.zero, f.zero)
     assert len(recs) == 4
     assert all(f.is_zero(r.exact) for r in recs)
 
@@ -421,20 +416,20 @@ def test_solve_quartic_scale_invariance():
 def test_strict_quartic_rejections():
     f = TowerField()
     with pytest.raises(StrictHypothesisViolation, match="d' = 0"):
-        solve_quartic_paper_strict(f, *(f.from_rational(q) for q in (1, 0, 2, 0, 2)))
+        solve_quartic(f, *(f.from_rational(q) for q in (1, 0, 2, 0, 2)), strict=True)
     f = TowerField()
     with pytest.raises(StrictHypothesisViolation, match="e' = 0"):
-        solve_quartic_paper_strict(f, *(f.from_rational(q) for q in (1, 0, 2, 1, 0)))
+        solve_quartic(f, *(f.from_rational(q) for q in (1, 0, 2, 1, 0)), strict=True)
     f = TowerField()
     with pytest.raises(StrictHypothesisViolation, match="12e'"):
-        solve_quartic_paper_strict(
-            f, *(f.from_rational(q) for q in (1, 0, 2, 1, Fraction(-1, 3)))
+        solve_quartic(
+            f, *(f.from_rational(q) for q in (1, 0, 2, 1, Fraction(-1, 3))), strict=True
         )
 
 
 def test_strict_quartic_matches_total_on_generic_input():
     f1, f2 = TowerField(), TowerField()
-    a = solve_quartic_paper_strict(f1, *(f1.from_rational(q) for q in (1, 0, 2, 1, 2)))
+    a = solve_quartic(f1, *(f1.from_rational(q) for q in (1, 0, 2, 1, 2)), strict=True)
     b = solve_quartic(f2, *(f2.from_rational(q) for q in (1, 0, 2, 1, 2)))
     assert _multiset(a) == _multiset(b)
 
@@ -444,7 +439,7 @@ def test_strict_quartic_matches_total_on_generic_input():
 
 def test_render_radical_cardano_example():
     f = TowerField()
-    recs = cubic_roots_depressed_total(f, f.from_rational(-6), f.from_rational(-9))
+    recs = solve_cubic(f, f.one, f.zero, f.from_rational(-6), f.from_rational(-9))
     text = render_radical(recs[0])
     assert text == "cbrt(9/2 + sqrt(49/4)) - (-6)/(3*cbrt(9/2 + sqrt(49/4)))"
     assert text.count("cbrt(9/2 + sqrt(49/4))") == 2
@@ -452,13 +447,13 @@ def test_render_radical_cardano_example():
 
 def test_render_radical_zero_root():
     f = TowerField()
-    recs = cubic_roots_depressed_total(f, f.from_rational(-4), f.zero)
+    recs = solve_cubic(f, f.one, f.zero, f.from_rational(-4), f.zero)
     assert render_radical(recs[0]) == "0"
 
 
 def test_render_radical_pure_square_root():
     f = TowerField()
-    recs = cubic_roots_depressed_total(f, f.from_rational(-5), f.zero)
+    recs = solve_cubic(f, f.one, f.zero, f.from_rational(-5), f.zero)
     assert render_radical(recs[1]) == "sqrt(5)"
     assert render_radical(recs[2]) == "-sqrt(5)"
 
@@ -498,7 +493,7 @@ def test_records_coherent_on_negative_cube_root_case():
     from radica.solvers import record_self_consistent
 
     f = TowerField()
-    recs = cubic_roots_depressed_total(f, f.zero, f.from_rational(8))
+    recs = solve_cubic(f, f.one, f.zero, f.zero, f.from_rational(8))
     assert f.as_rational(recs[0].exact) == -2
     assert render_radical(recs[0]) == "-2"
     for r in recs:
@@ -538,8 +533,8 @@ def test_branch_totality_under_flipped_sqrt():
 
     plain = ComplexField()
     flipped = FlippedSqrt()
-    a = cubic_roots_depressed_total(plain, complex(-6), complex(-9))
-    b = cubic_roots_depressed_total(flipped, complex(-6), complex(-9))
+    a = solve_cubic(plain, plain.one, plain.zero, complex(-6), complex(-9))
+    b = solve_cubic(flipped, flipped.one, flipped.zero, complex(-6), complex(-9))
     assert _multiset(a) == _multiset(b)
 
 

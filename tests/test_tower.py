@@ -1,4 +1,4 @@
-"""Exact backend: rational normalization, adjunction, arithmetic, inversion."""
+"""Exact backend: adjunction, arithmetic, inversion."""
 
 import random
 from fractions import Fraction
@@ -11,29 +11,8 @@ from radica import (
     TowerField,
     TowerMismatchError,
     omega,
-    rat_normalize,
 )
 from conftest import rand_fraction
-
-
-def test_rat_normalize_gcd_reduction():
-    q = rat_normalize(2, 4)
-    assert (q.numerator, q.denominator) == (1, 2)
-
-
-def test_rat_normalize_sign_moves_to_numerator():
-    q = rat_normalize(1, -2)
-    assert (q.numerator, q.denominator) == (-1, 2)
-
-
-def test_rat_normalize_canonical_zero():
-    q = rat_normalize(0, 7)
-    assert (q.numerator, q.denominator) == (0, 1)
-
-
-def test_rat_normalize_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError, match="zero denominator"):
-        rat_normalize(1, 0)
 
 
 # -- adjunction ---------------------------------------------------------------

@@ -8,7 +8,6 @@ from radica import (
     ComplexField,
     NoConvergence,
     TowerField,
-    cubic_roots_depressed_total,
     durand_kerner,
     expand_monic_from_roots,
     horner_eval,
@@ -16,6 +15,8 @@ from radica import (
     negative_exhibit_two_cbrts,
     omega_twisting_cbrt,
     real_preferring_cbrt,
+    solve_cubic,
+    solve_quadratic,
     solve_quartic,
     verify_solution,
 )
@@ -152,7 +153,7 @@ def test_match_clustered_roots_within_relative_tolerance():
 def test_verify_cardano_example_passes_exactly():
     f = TowerField()
     c, d = f.from_rational(-6), f.from_rational(-9)
-    records = cubic_roots_depressed_total(f, c, d)
+    records = solve_cubic(f, f.one, f.zero, c, d)
     report = verify_solution(f, [f.one, f.zero, c, d], records)
     assert report.passed
     assert report.residuals == [0.0, 0.0, 0.0]
@@ -162,9 +163,7 @@ def test_verify_cardano_example_passes_exactly():
 
 def test_verify_x_squared_plus_one():
     f = ComplexField()
-    from radica.solvers import quadratic_records
-
-    records = quadratic_records(f, 0j, 1 + 0j)
+    records = solve_quadratic(f, f.one, 0j, 1 + 0j)
     report = verify_solution(f, [1 + 0j, 0j, 1 + 0j], records)
     assert report.passed
     assert {round(r.approx.imag, 9) for r in records} == {1.0, -1.0}
@@ -173,7 +172,7 @@ def test_verify_x_squared_plus_one():
 def test_verify_detects_tampered_root():
     f = TowerField()
     c, d = f.from_rational(-6), f.from_rational(-9)
-    records = cubic_roots_depressed_total(f, c, d)
+    records = solve_cubic(f, f.one, f.zero, c, d)
     tampered = [dataclasses.replace(records[0], exact=None, approx=3.1 + 0j)]
     tampered += list(records[1:])
     report = verify_solution(f, [f.one, f.zero, c, d], tampered)
@@ -199,7 +198,7 @@ def test_verify_flags_oracle_non_convergence(monkeypatch):
     monkeypatch.setattr(verifier, "durand_kerner", explode)
     f = TowerField()
     c, d = f.from_rational(-6), f.from_rational(-9)
-    records = cubic_roots_depressed_total(f, c, d)
+    records = solve_cubic(f, f.one, f.zero, c, d)
     report = verifier.verify_solution(f, [f.one, f.zero, c, d], records)
     assert report.oracle_match is None
     assert report.passed
