@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +80,7 @@ class _Scanner:
 
     def scan_digits(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         return self.text[start : self.pos]
 
@@ -151,7 +150,7 @@ def parse_polynomial(text):
 
         coef = None
         is_decimal = False
-        if ch.isdigit() or ch == ".":
+        if ch.isdecimal() or ch == ".":
             num_text, is_decimal = sc.scan_number()
             if is_decimal:
                 coef = float(num_text)
@@ -382,7 +381,7 @@ def _cmd_selftest(args):
 
     seed_env = os.environ.get("RADICA_SEED")
     seed = int(seed_env) if seed_env else 20260810
-    ok = selftest.run_corpus(random.Random(seed))
+    ok = selftest.run_corpus(seed)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

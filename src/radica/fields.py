@@ -18,8 +18,12 @@ class FieldCapabilities:
     ``inverse`` is witness-guarded: the argument must be nonzero and
     backends raise ``ZeroDivisionError`` otherwise (there is no 0**-1 == 0
     convention).  ``sqrt`` and ``cbrt`` are ``None`` when the backend has
-    no provider for them.  ``is_zero`` is the backend's decidable zero
-    test, which the total solvers rely on for case splits.
+    no provider for them.  ``is_zero`` is the backend's zero test, which
+    the total solvers rely on for case splits.  It is not a decision
+    procedure on every backend: on a tower with a reducible level, such as
+    the cube root of -100/27 behind ``x^3 - 7*x + 6``, a nonzero
+    representation can embed as 0, so that solve prints ``2 + 4.44e-16i``
+    and never ``(exactly 2)`` (ROADMAP item 3).
     """
 
     name = "abstract"

@@ -10,9 +10,11 @@ whose parameters come from a root of the resolvent cubic.
 There is one solver per degree, ``solve_linear`` to ``solve_quartic``,
 each taking leading-first general coefficients over any backend satisfying
 the field contract and returning root records.  By default the cubic and
-quartic solvers case-split on decidable zero tests and cover every
+quartic solvers case-split on the backend's ``is_zero`` and cover every
 degenerate input; with ``strict=True`` they demand the formulas'
 nonzeroness hypotheses instead and raise ``StrictHypothesisViolation``.
+The case splits are only as faithful as ``is_zero``, which on a reducible
+tower can miss a zero (see ``FieldCapabilities`` and ROADMAP item 3).
 """
 
 from __future__ import annotations

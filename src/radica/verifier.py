@@ -146,17 +146,24 @@ def residuals(field, coeffs, records):
     its approximation is substituted in complex doubles and must stay
     within 1e-6 times the largest coefficient magnitude (at least 1).
     """
+    return _residuals(field, coeffs, records, None)
+
+
+def _residuals(field, coeffs, records, numeric):
+    """``residuals`` with the complex embedding of ``coeffs`` given, or None
+    to embed them on first need."""
     values = []
     ok = True
-    numeric = tol = None
+    tol = None
     for rec in records:
         if rec.exact is not None:
             value = horner_eval(field, coeffs, rec.exact)
             within = field.is_zero(value)
             residual = 0.0 if within else abs(field.to_complex(value))
         else:
-            if numeric is None:
-                numeric = [field.to_complex(c) for c in coeffs]
+            if tol is None:
+                if numeric is None:
+                    numeric = [field.to_complex(c) for c in coeffs]
                 tol = FLOAT_RESIDUAL_TOL * _scale(numeric)
             residual = abs(_chorner(numeric, rec.approx))
             within = residual <= tol
@@ -206,7 +213,7 @@ def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
     numeric = [field.to_complex(c) for c in coeffs]
     scale = _scale(numeric)
     threshold = 0.0 if field.is_exact else FLOAT_RESIDUAL_TOL * scale
-    values, residuals_ok = residuals(field, coeffs, records)
+    values, residuals_ok = _residuals(field, coeffs, records, numeric)
 
     ainv = field.inverse(coeffs[0])
     monic = [field.mul(c, ainv) for c in coeffs]

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -7,10 +6,3 @@ import pytest
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
-
-
-def rand_fraction(rng, span=20, nonzero=False):
-    while True:
-        q = Fraction(rng.randint(-span, span), rng.randint(1, span))
-        if q != 0 or not nonzero:
-            return q

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from radica import selftest
 from radica.cli import ParseError, parse_polynomial, run
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-GOLDEN = os.path.join(GOLDEN_DIR, "cardano_x3_6x_9.json")
 
 #: ``solve --format json --verify [flags]`` reports stored byte for byte
 BYTE_GOLDENS = {
@@ -160,15 +160,6 @@ def test_solve_quartic_all_degenerate_cases_default_mode():
         assert run(["solve", text, "--verify"]) == 0
 
 
-def test_json_golden_cardano(capsys):
-    code = run(["solve", "x^3 - 6*x - 9", "--verify", "--format", "json"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    with open(GOLDEN) as fh:
-        expected = json.load(fh)
-    assert payload == expected
-
-
 @pytest.mark.parametrize("name", sorted(BYTE_GOLDENS))
 def test_json_golden_bytes(capsys, name):
     polynomial, *flags = BYTE_GOLDENS[name]
@@ -250,6 +241,35 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_solution", lambda *a, **k: FailingReport())
     assert run(["solve", "x^2 - 2", "--verify"]) == 5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the float embedding of the exact depth-6 roots is off by about 1e-6, "
+    "so the oracle reports a mismatch although every exact residual is 0",
+)
+def test_verify_depth6_quartic_matches_oracle(capsys):
+    assert run(["solve", "--verify", "--", "-7/15*x^4 + 1/6*x^3 + 14*x^2 - 5/2*x + 1/3"]) == 0
+
+
+def test_selftest_passes_every_criterion(capsys, monkeypatch):
+    monkeypatch.delenv("RADICA_SEED", raising=False)
+    assert run(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["PASS", c.name] for c in selftest.CRITERIA]
+
+
+def test_selftest_reports_a_failing_criterion(capsys, monkeypatch):
+    monkeypatch.delenv("RADICA_SEED", raising=False)
+    criteria = [
+        c._replace(check=lambda rng, n: (False, "forced"))
+        if c.name == "quartic-split-identity"
+        else c
+        for c in selftest.CRITERIA
+    ]
+    monkeypatch.setattr(selftest, "CRITERIA", criteria)
+    assert run(["selftest"]) == 5
+    assert "FAIL quartic-split-identity  (forced)" in capsys.readouterr().out.splitlines()
 
 
 def test_json_schema_fields(capsys):

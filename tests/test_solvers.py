@@ -25,7 +25,7 @@ from radica import (
 )
 from radica.complexfield import csqrt_principal
 from radica.radicals import evaluate
-from conftest import rand_fraction
+from radica.selftest import rand_fraction
 
 
 def _multiset(records, digits=9):

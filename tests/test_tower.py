@@ -12,7 +12,7 @@ from radica import (
     TowerMismatchError,
     omega,
 )
-from conftest import rand_fraction
+from radica.selftest import rand_fraction
 
 
 # -- adjunction ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from radica import (
     solve_quartic,
     verify_solution,
 )
-from conftest import rand_fraction
+from radica.selftest import rand_fraction
 
 
 def test_horner_examples():
