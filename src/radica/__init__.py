@@ -10,13 +10,10 @@ independent numeric oracle.
 """
 
 from .complexfield import ComplexField, approx_eq, ccbrt_principal, csqrt_principal
-from .fields import FieldCapabilities, from_integer, omega, small_pow
+from .fields import FieldCapabilities
 from .solvers import (
     BiquadraticQuartic,
     DegenerateLeadingTerm,
-    DepressedCubic,
-    DepressedQuartic,
-    MonicCubic,
     RootRecord,
     SolverError,
     StrictHypothesisViolation,
@@ -59,10 +56,7 @@ __all__ = [
     "BiquadraticQuartic",
     "ComplexField",
     "DegenerateLeadingTerm",
-    "DepressedCubic",
-    "DepressedQuartic",
     "FieldCapabilities",
-    "MonicCubic",
     "NoConvergence",
     "ReducibleExtensionError",
     "RootRecord",
@@ -82,18 +76,15 @@ __all__ = [
     "depress_quartic",
     "durand_kerner",
     "expand_monic_from_roots",
-    "from_integer",
     "horner_eval",
     "match_root_multisets",
     "negative_exhibit_two_cbrts",
-    "omega",
     "omega_twisting_cbrt",
     "quartic_split_depressed",
     "real_preferring_cbrt",
     "render_radical",
     "residuals",
     "resolvent_coeffs",
-    "small_pow",
     "solve_cubic",
     "solve_linear",
     "solve_quadratic",

@@ -107,7 +107,9 @@ class _Scanner:
         ):
             raise ParseError("expected a variable name", start)
         while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+            self.text[self.pos].isalpha()
+            or self.text[self.pos].isdecimal()
+            or self.text[self.pos] == "_"
         ):
             self.pos += 1
         return self.text[start : self.pos]

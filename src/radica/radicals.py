@@ -1,11 +1,12 @@
 """Radical expression trees attached to solved roots.
 
-Node kinds: integer literal, rational literal, add, neg, mul, div, sqrt,
-cbrt, omega-power.  The smart constructors fold arithmetic on literals
-(so a tree shows `9/2 + sqrt(49/4)` rather than the unevaluated rational
-plumbing) but keep root nodes symbolic.  Rendering is deterministic and
-parenthesized-unambiguously; evaluating a tree over complex doubles with
-principal branches reproduces the root's numeric approximation.
+Node kinds: rational literal, add, neg, mul, div, sqrt, cbrt,
+omega-power.  The smart constructors fold arithmetic on literals (so a
+tree shows `9/2 + sqrt(49/4)` rather than the unevaluated rational
+plumbing) and products of omega powers, but keep root nodes symbolic.
+Rendering is deterministic and parenthesized-unambiguously; evaluating a
+tree over complex doubles with principal branches reproduces the root's
+numeric approximation.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ class RadicalExpr:
 
 
 @dataclass(frozen=True)
-class IntLit(RadicalExpr):
-    value: int
-
-
-@dataclass(frozen=True)
-class RatLit(RadicalExpr):
+class Lit(RadicalExpr):
     value: Fraction
 
 
@@ -72,18 +68,11 @@ class OmegaPow(RadicalExpr):
 
 
 def lit(q):
-    q = Fraction(q)
-    if q.denominator == 1:
-        return IntLit(int(q))
-    return RatLit(q)
+    return Lit(Fraction(q))
 
 
 def _lit_value(e):
-    if isinstance(e, IntLit):
-        return Fraction(e.value)
-    if isinstance(e, RatLit):
-        return e.value
-    return None
+    return e.value if isinstance(e, Lit) else None
 
 
 def radd(a, b):
@@ -120,6 +109,9 @@ def rmul(a, b):
         return b
     if vb == 1:
         return a
+    if isinstance(a, OmegaPow) and isinstance(b, Mul) and isinstance(b.left, OmegaPow):
+        power = (a.power + b.left.power) % 3
+        return Mul(OmegaPow(power), b.right) if power else b.right
     return Mul(a, b)
 
 
@@ -147,13 +139,6 @@ def rcbrt(a, folded=None):
     return Cbrt(a)
 
 
-def romega(k, a):
-    k %= 3
-    if k == 0:
-        return a
-    return Mul(OmegaPow(k), a)
-
-
 # -- rendering ---------------------------------------------------------------
 
 _PREC_ADD = 1
@@ -166,18 +151,16 @@ def _prec(e):
         return _PREC_ADD
     if isinstance(e, (Mul, Div)):
         return _PREC_MUL
-    if isinstance(e, IntLit):
-        return _PREC_ATOM if e.value >= 0 else _PREC_ADD
-    if isinstance(e, RatLit):
-        return _PREC_MUL if e.value >= 0 else _PREC_ADD
+    if isinstance(e, Lit):
+        if e.value < 0:
+            return _PREC_ADD
+        return _PREC_ATOM if e.value.denominator == 1 else _PREC_MUL
     return _PREC_ATOM
 
 
 def _render(e, ctx):
-    if isinstance(e, IntLit):
+    if isinstance(e, Lit):
         text = str(e.value)
-    elif isinstance(e, RatLit):
-        text = f"{e.value.numerator}/{e.value.denominator}"
     elif isinstance(e, Add):
         left = _render(e.left, _PREC_ADD)
         if isinstance(e.right, Neg):
@@ -213,9 +196,7 @@ _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 def evaluate(e):
     """Evaluate over complex doubles, with principal branches for the roots."""
-    if isinstance(e, IntLit):
-        return complex(e.value)
-    if isinstance(e, RatLit):
+    if isinstance(e, Lit):
         return complex(float(e.value))
     if isinstance(e, Add):
         return evaluate(e.left) + evaluate(e.right)

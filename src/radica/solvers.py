@@ -7,10 +7,15 @@ an arbitrary root provider because nothing forces 3st = c (the verifier
 module carries a demonstration).  The quartic is split into two quadratics
 whose parameters come from a root of the resolvent cubic.
 
-There is one solver per degree, ``solve_linear`` to ``solve_quartic``,
-each taking leading-first general coefficients over any backend satisfying
-the field contract and returning root records.  By default the cubic and
-quartic solvers case-split on the backend's ``is_zero`` and cover every
+Each formula is one function over the field contract: ``depress_cubic``,
+``cardano_root``, ``depress_quartic``, ``resolvent_coeffs`` and
+``quartic_split_depressed`` take any ``FieldCapabilities`` and return its
+elements.  There is one solver per degree, ``solve_linear`` to
+``solve_quartic``, each taking leading-first general coefficients and
+returning root records; the solvers run the same formulas over
+``_Traced``, a backend whose elements pair the wrapped backend's value
+with the radical tree that produced it.  By default the cubic and quartic
+solvers case-split on the backend's ``is_zero`` and cover every
 degenerate input; with ``strict=True`` they demand the formulas'
 nonzeroness hypotheses instead and raise ``StrictHypothesisViolation``.
 The case splits are only as faithful as ``is_zero``, which on a reducible
@@ -24,8 +29,8 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import radicals
-from .fields import from_integer, omega
-from .radicals import RadicalExpr, evaluate, render
+from .fields import FieldCapabilities
+from .radicals import OmegaPow, RadicalExpr, evaluate, render
 
 
 class SolverError(Exception):
@@ -37,7 +42,7 @@ class DegenerateLeadingTerm(SolverError):
 
 
 class ZeroLinearTerm(SolverError):
-    """Cardano's formula needs c != 0; use the total solver for c = 0."""
+    """Cardano's formula needs c != 0; ``solve_cubic`` splits off c = 0."""
 
 
 class BiquadraticQuartic(SolverError):
@@ -46,30 +51,6 @@ class BiquadraticQuartic(SolverError):
 
 class StrictHypothesisViolation(SolverError):
     """Input excluded by the formula's hypotheses in strict mode."""
-
-
-@dataclass(frozen=True)
-class MonicCubic:
-    b: Any
-    c: Any
-    d: Any
-
-
-@dataclass(frozen=True)
-class DepressedCubic:
-    """u**3 + c*u + d, reached from x**3 + b*x**2 + ... via x = u - shift."""
-
-    c: Any
-    d: Any
-    shift: Any
-
-
-@dataclass(frozen=True)
-class DepressedQuartic:
-    c: Any
-    d: Any
-    e: Any
-    shift: Any
 
 
 @dataclass(frozen=True)
@@ -89,7 +70,7 @@ def render_radical(record):
 
 
 # ---------------------------------------------------------------------------
-# Traced arithmetic: every field operation also builds the display tree.
+# The trace backend: every field operation also builds the display tree.
 # ---------------------------------------------------------------------------
 
 
@@ -99,11 +80,14 @@ class _TV:
     expr: RadicalExpr
 
 
-class _Traced:
+class _Traced(FieldCapabilities):
+    """Field whose elements are ``_TV(value, expr)`` pairs: ``value`` lives in
+    the wrapped backend ``f`` and ``expr`` is its radical tree."""
+
     def __init__(self, field):
         self.f = field
         self._omega = None
-        self._ints = {}
+        self._lits = {}
 
     def wrap(self, x):
         q = self.f.as_rational(x)
@@ -118,12 +102,15 @@ class _Traced:
             )
         return _TV(x, expr)
 
-    def int_(self, n):
-        tv = self._ints.get(n)
+    def from_rational(self, q):
+        tv = self._lits.get(q)
         if tv is None:
-            tv = _TV(from_integer(self.f, n), radicals.lit(n))
-            self._ints[n] = tv
+            tv = _TV(self.f.from_rational(q), radicals.lit(q))
+            self._lits[q] = tv
         return tv
+
+    def to_complex(self, x):
+        return self.f.to_complex(x.value)
 
     def is_zero(self, x):
         return self.f.is_zero(x.value)
@@ -156,17 +143,10 @@ class _Traced:
             folded = self.f.as_rational(value)
         return _TV(value, radicals.rcbrt(x.expr, folded))
 
-    def omega_mul(self, k, x):
-        k %= 3
-        if k == 0:
-            return x
+    def omega(self):
         if self._omega is None:
-            self._omega = omega(self.f)
-        w = self._omega
-        value = x.value
-        for _ in range(k):
-            value = self.f.mul(w, value)
-        return _TV(value, radicals.romega(k, x.expr))
+            self._omega = _TV(self.f.omega(), OmegaPow(1))
+        return self._omega
 
 
 def _record(field, label, tv):
@@ -178,23 +158,6 @@ def _record(field, label, tv):
     )
 
 
-# ---------------------------------------------------------------------------
-# Linear and quadratic.
-# ---------------------------------------------------------------------------
-
-
-def _quadratic_monic_t(t, b, c):
-    if t.is_zero(b):
-        root = t.sqrt(t.neg(c))
-        return root, t.neg(root)
-    disc = t.sub(t.mul(b, b), t.mul(t.int_(4), c))
-    root = t.sqrt(disc)
-    half = t.div(t.int_(1), t.int_(2))
-    plus = t.mul(t.add(t.neg(b), root), half)
-    minus = t.mul(t.sub(t.neg(b), root), half)
-    return plus, minus
-
-
 def _monic(field, a, *rest):
     if field.is_zero(a):
         raise DegenerateLeadingTerm("degenerate leading coefficient")
@@ -202,8 +165,25 @@ def _monic(field, a, *rest):
     return [field.mul(x, ainv) for x in rest]
 
 
-def _shifted_records(field, t, tvs, shift):
-    return [_record(field, label, t.sub(tv, shift)) for label, tv in tvs]
+def _shifted_records(field, t, roots, shift):
+    return [_record(field, label, t.sub(tv, shift)) for label, tv in roots]
+
+
+# ---------------------------------------------------------------------------
+# Linear and quadratic.
+# ---------------------------------------------------------------------------
+
+
+def _quadratic_monic(f, b, c):
+    if f.is_zero(b):
+        root = f.sqrt(f.neg(c))
+        return root, f.neg(root)
+    disc = f.sub(f.mul(b, b), f.mul(f.from_rational(4), c))
+    root = f.sqrt(disc)
+    half = f.from_rational(Fraction(1, 2))
+    plus = f.mul(f.add(f.neg(b), root), half)
+    minus = f.mul(f.sub(f.neg(b), root), half)
+    return plus, minus
 
 
 def solve_linear(field, a, b):
@@ -221,7 +201,7 @@ def solve_quadratic(field, a, b, c):
     """
     nb, nc = _monic(field, a, b, c)
     t = _Traced(field)
-    plus, minus = _quadratic_monic_t(t, t.wrap(nb), t.wrap(nc))
+    plus, minus = _quadratic_monic(t, t.wrap(nb), t.wrap(nc))
     return [
         _record(field, "quadratic-plus", plus),
         _record(field, "quadratic-minus", minus),
@@ -233,52 +213,34 @@ def solve_quadratic(field, a, b, c):
 # ---------------------------------------------------------------------------
 
 
-def _depress_cubic_t(t, b, c, d):
-    three = t.int_(3)
-    shift = t.div(b, three)
-    b2 = t.mul(b, b)
-    cp = t.sub(c, t.div(b2, three))
-    b3 = t.mul(b2, b)
-    dp = t.add(
-        t.sub(t.div(t.mul(t.int_(2), b3), t.int_(27)), t.div(t.mul(b, c), three)),
+def depress_cubic(f, b, c, d):
+    """(c', d', shift) with x = u - shift taking x**3 + b*x**2 + c*x + d to
+    u**3 + c'*u + d': shift = b/3, c' = c - b**2/3, d' = 2b**3/27 - bc/3 + d."""
+    three = f.from_rational(3)
+    shift = f.div(b, three)
+    b2 = f.mul(b, b)
+    cp = f.sub(c, f.div(b2, three))
+    b3 = f.mul(b2, b)
+    dp = f.add(
+        f.sub(
+            f.div(f.mul(f.from_rational(2), b3), f.from_rational(27)),
+            f.div(f.mul(b, c), three),
+        ),
         d,
     )
     return cp, dp, shift
 
 
-def depress_cubic(field, b, c, d):
-    """Coefficients after x = u - b/3: c' = c - b**2/3,
-    d' = 2b**3/27 - bc/3 + d."""
-    t = _Traced(field)
-    cp, dp, shift = _depress_cubic_t(t, t.wrap(b), t.wrap(c), t.wrap(d))
-    return DepressedCubic(cp.value, dp.value, shift.value)
+def _omega_times(f, k, x):
+    """omega**k * x, as omega*(omega*x) for k = 2."""
+    if k:
+        w = f.omega()
+        for _ in range(k):
+            x = f.mul(w, x)
+    return x
 
 
-def _cardano_t(t, c, d, branch):
-    if t.is_zero(c):
-        raise ZeroLinearTerm("c = 0: use the total solver")
-    two, three = t.int_(2), t.int_(3)
-    half_d = t.div(d, two)
-    inner = t.add(
-        t.div(t.mul(d, d), t.int_(4)),
-        t.div(t.mul(t.mul(c, c), c), t.int_(27)),
-    )
-    r = t.sqrt(inner)
-    s_radicand = t.add(t.neg(half_d), r)
-    t_radicand = t.add(half_d, r)
-    # s and t are interchangeable under 3st = c, and their cubes multiply to
-    # c**3/27; take the cube root of the larger one so the displayed radical
-    # stays well-conditioned in floats (the smaller radicand is a difference
-    # of near-equal quantities).  The companion value is always computed by
-    # division, never as an independent cube root.
-    if abs(t.f.to_complex(t_radicand.value)) > abs(t.f.to_complex(s_radicand.value)):
-        tt = t.omega_mul(branch, t.cbrt(t_radicand))
-        return t.sub(t.div(c, t.mul(three, tt)), tt)
-    s = t.omega_mul(branch, t.cbrt(s_radicand))
-    return t.sub(s, t.div(c, t.mul(three, s)))
-
-
-def cardano_root(field, dc, branch=0):
+def cardano_root(f, c, d, branch=0):
     """One root of u**3 + c*u + d for c != 0.
 
     ``branch`` selects the cube root used for s: 0 for the provider's own,
@@ -286,31 +248,46 @@ def cardano_root(field, dc, branch=0):
     (s**3 = 0 would force c = 0), and the returned u = s - c/(3s) satisfies
     the equation exactly in the exact backend.
     """
-    t = _Traced(field)
-    tv = _cardano_t(t, t.wrap(dc.c), t.wrap(dc.d), branch)
-    return tv.value
+    if f.is_zero(c):
+        raise ZeroLinearTerm("c = 0: Cardano's formula needs c != 0")
+    two, three = f.from_rational(2), f.from_rational(3)
+    half_d = f.div(d, two)
+    inner = f.add(
+        f.div(f.mul(d, d), f.from_rational(4)),
+        f.div(f.mul(f.mul(c, c), c), f.from_rational(27)),
+    )
+    r = f.sqrt(inner)
+    s_radicand = f.add(f.neg(half_d), r)
+    t_radicand = f.add(half_d, r)
+    # s and t are interchangeable under 3st = c, and their cubes multiply to
+    # c**3/27; take the cube root of the larger one so the displayed radical
+    # stays well-conditioned in floats (the smaller radicand is a difference
+    # of near-equal quantities).  The companion value is always computed by
+    # division, never as an independent cube root.
+    if abs(f.to_complex(t_radicand)) > abs(f.to_complex(s_radicand)):
+        t = _omega_times(f, branch, f.cbrt(t_radicand))
+        return f.sub(f.div(c, f.mul(three, t)), t)
+    s = _omega_times(f, branch, f.cbrt(s_radicand))
+    return f.sub(s, f.div(c, f.mul(three, s)))
 
 
-def _cubic_depressed_tvs(t, c, d, strict=False):
+def _cubic_depressed_roots(f, c, d, strict=False):
     """Labeled roots of u**3 + c*u + d, with repetition when they coincide.
 
     Case split: c = 0 gives the three cube roots of -d; d = 0 gives 0 and
     +-sqrt(-c); otherwise the three Cardano branches.  ``strict`` skips
     the split and takes Cardano, which then requires c != 0.
     """
-    if not strict and t.is_zero(c):
-        base = t.cbrt(t.neg(d))
-        return [
-            ("cuberoot-A", base),
-            ("cuberoot-B", t.omega_mul(1, base)),
-            ("cuberoot-C", t.omega_mul(2, base)),
-        ]
-    if not strict and t.is_zero(d):
-        root = t.sqrt(t.neg(c))
-        zero = t.int_(0)
-        return [("zero", zero), ("sqrt-plus", root), ("sqrt-minus", t.neg(root))]
+    if not strict and f.is_zero(c):
+        base = f.cbrt(f.neg(d))
+        w = f.omega()
+        second = f.mul(w, base)
+        return [("cuberoot-A", base), ("cuberoot-B", second), ("cuberoot-C", f.mul(w, second))]
+    if not strict and f.is_zero(d):
+        root = f.sqrt(f.neg(c))
+        return [("zero", f.from_rational(0)), ("sqrt-plus", root), ("sqrt-minus", f.neg(root))]
     return [
-        (f"cardano-{name}", _cardano_t(t, c, d, branch))
+        (f"cardano-{name}", cardano_root(f, c, d, branch))
         for branch, name in enumerate("ABC")
     ]
 
@@ -324,23 +301,20 @@ def solve_cubic(field, a, b, c, d, strict=False):
     """
     nb, nc, nd = _monic(field, a, b, c, d)
     if strict:
-        three = from_integer(field, 3)
-        q1 = field.sub(field.mul(three, field.mul(a, c)), field.mul(b, b))
+        n = field.from_rational
+        q1 = field.sub(field.mul(n(3), field.mul(a, c)), field.mul(b, b))
         if field.is_zero(q1):
             raise StrictHypothesisViolation("3ac - b^2 = 0")
         b3 = field.mul(field.mul(b, b), b)
         q2 = field.add(
-            field.sub(
-                field.mul(from_integer(field, 2), b3),
-                field.mul(from_integer(field, 9), field.mul(a, field.mul(b, c))),
-            ),
-            field.mul(from_integer(field, 27), field.mul(field.mul(a, a), d)),
+            field.sub(field.mul(n(2), b3), field.mul(n(9), field.mul(a, field.mul(b, c)))),
+            field.mul(n(27), field.mul(field.mul(a, a), d)),
         )
         if field.is_zero(q2):
             raise StrictHypothesisViolation("2b^3 - 9abc + 27a^2*d = 0")
     t = _Traced(field)
-    cp, dp, shift = _depress_cubic_t(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
-    return _shifted_records(field, t, _cubic_depressed_tvs(t, cp, dp, strict), shift)
+    cp, dp, shift = depress_cubic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
+    return _shifted_records(field, t, _cubic_depressed_roots(t, cp, dp, strict), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -348,106 +322,91 @@ def solve_cubic(field, a, b, c, d, strict=False):
 # ---------------------------------------------------------------------------
 
 
-def _depress_quartic_t(t, b, c, d, e):
-    two, four, eight = t.int_(2), t.int_(4), t.int_(8)
-    shift = t.div(b, four)
-    b2 = t.mul(b, b)
-    b3 = t.mul(b2, b)
-    b4 = t.mul(b3, b)
-    cp = t.sub(c, t.div(t.mul(t.int_(3), b2), eight))
-    dp = t.add(t.sub(t.div(b3, eight), t.div(t.mul(b, c), two)), d)
-    ep = t.add(
-        t.sub(
-            t.sub(t.div(t.mul(b2, c), t.int_(16)), t.div(t.mul(t.int_(3), b4), t.int_(256))),
-            t.div(t.mul(b, d), four),
+def depress_quartic(f, b, c, d, e):
+    """(c', d', e', shift) with x = u - shift taking x**4 + b*x**3 + ... + e
+    to u**4 + c'*u**2 + d'*u + e': shift = b/4, c' = c - 3b**2/8,
+    d' = b**3/8 - bc/2 + d, e' = b**2*c/16 - 3b**4/256 - bd/4 + e."""
+    n = f.from_rational
+    two, four, eight = n(2), n(4), n(8)
+    shift = f.div(b, four)
+    b2 = f.mul(b, b)
+    b3 = f.mul(b2, b)
+    b4 = f.mul(b3, b)
+    cp = f.sub(c, f.div(f.mul(n(3), b2), eight))
+    dp = f.add(f.sub(f.div(b3, eight), f.div(f.mul(b, c), two)), d)
+    ep = f.add(
+        f.sub(
+            f.sub(f.div(f.mul(b2, c), n(16)), f.div(f.mul(n(3), b4), n(256))),
+            f.div(f.mul(b, d), four),
         ),
         e,
     )
     return cp, dp, ep, shift
 
 
-def depress_quartic(field, b, c, d, e):
-    """Coefficients after x = u - b/4: c' = c - 3b**2/8,
-    d' = b**3/8 - bc/2 + d, e' = b**2*c/16 - 3b**4/256 - bd/4 + e."""
-    t = _Traced(field)
-    cp, dp, ep, shift = _depress_quartic_t(t, t.wrap(b), t.wrap(c), t.wrap(d), t.wrap(e))
-    return DepressedQuartic(cp.value, dp.value, ep.value, shift.value)
-
-
-def _resolvent_t(t, c, d, e):
+def resolvent_coeffs(f, c, d, e):
+    """(2c, c**2 - 4e, -d**2): the monic cubic in P = p**2 parameterizing the
+    split of u**4 + cu**2 + du + e, P**3 + 2c*P**2 + (c**2 - 4e)*P - d**2."""
     return (
-        t.mul(t.int_(2), c),
-        t.sub(t.mul(c, c), t.mul(t.int_(4), e)),
-        t.neg(t.mul(d, d)),
+        f.mul(f.from_rational(2), c),
+        f.sub(f.mul(c, c), f.mul(f.from_rational(4), e)),
+        f.neg(f.mul(d, d)),
     )
 
 
-def resolvent_coeffs(field, c, d, e):
-    """Monic cubic in P = p**2 parameterizing the split of u**4 + cu**2 + du + e:
-    P**3 + 2c*P**2 + (c**2 - 4e)*P - d**2 = 0."""
-    t = _Traced(field)
-    rb, rc, rd = _resolvent_t(t, t.wrap(c), t.wrap(d), t.wrap(e))
-    return MonicCubic(rb.value, rc.value, rd.value)
+def quartic_split_depressed(f, c, d, e, strict=False, resolvent_root=None):
+    """(p, q, s) splitting u**4 + cu**2 + du + e into (u**2 + pu + q)(u**2 - pu + s).
 
-
-def _quartic_split_t(t, c, d, e, strict=False, resolvent_root=None):
-    if t.is_zero(d):
+    Picks a nonzero root P of the resolvent cubic (trying the Cardano-A
+    branch first, then B and C; ``strict`` solves the resolvent as
+    ``solve_cubic`` does in strict mode), sets p = sqrt(P),
+    q = (c + P - d/p)/2 and s = (c + P + d/p)/2; the expansion identity
+    holds exactly in the exact backend.  ``resolvent_root`` overrides the
+    choice of P.  Requires d != 0.
+    """
+    if f.is_zero(d):
         raise BiquadraticQuartic("biquadratic case")
     if resolvent_root is not None:
         candidates = [resolvent_root]
     else:
-        cp, dp, shift = _depress_cubic_t(t, *_resolvent_t(t, c, d, e))
-        candidates = [t.sub(tv, shift) for _, tv in _cubic_depressed_tvs(t, cp, dp, strict)]
+        cp, dp, shift = depress_cubic(f, *resolvent_coeffs(f, c, d, e))
+        candidates = [f.sub(r, shift) for _, r in _cubic_depressed_roots(f, cp, dp, strict)]
     # every resolvent root is nonzero when d != 0 (their product is d**2),
     # but the float backend's zero test may fire near zero; fall through
     for cand in candidates:
-        if not t.is_zero(cand):
+        if not f.is_zero(cand):
             big_p = cand
             break
     else:
         raise SolverError("no usable resolvent root")
-    p = t.sqrt(big_p)
-    d_over_p = t.div(d, p)
-    base = t.add(c, big_p)
-    two = t.int_(2)
-    q = t.div(t.sub(base, d_over_p), two)
-    s = t.div(t.add(base, d_over_p), two)
+    p = f.sqrt(big_p)
+    d_over_p = f.div(d, p)
+    base = f.add(c, big_p)
+    two = f.from_rational(2)
+    q = f.div(f.sub(base, d_over_p), two)
+    s = f.div(f.add(base, d_over_p), two)
     return p, q, s
 
 
-def quartic_split_depressed(field, c, d, e, resolvent_root=None):
-    """Split u**4 + cu**2 + du + e into (u**2 + pu + q)(u**2 - pu + s).
-
-    Picks a nonzero root P of the resolvent cubic (trying the Cardano-A
-    branch first, then B and C), sets p = sqrt(P), q = (c + P - d/p)/2 and
-    s = (c + P + d/p)/2; the expansion identity holds exactly in the exact
-    backend.  ``resolvent_root`` overrides the choice of P.  Requires d != 0.
-    """
-    t = _Traced(field)
-    root = None if resolvent_root is None else t.wrap(resolvent_root)
-    p, q, s = _quartic_split_t(t, t.wrap(c), t.wrap(d), t.wrap(e), resolvent_root=root)
-    return p.value, q.value, s.value
-
-
-def _quartic_depressed_tvs(t, c, d, e, strict=False):
+def _quartic_depressed_roots(f, c, d, e, strict=False):
     """Labeled roots of u**4 + cu**2 + du + e, with repetition.
 
     d = 0 solves the quadratic in u**2 and takes square roots; otherwise
     the two quadratic factors from the resolvent split are solved.
     """
-    if t.is_zero(d):
-        y1, y2 = _quadratic_monic_t(t, c, e)
-        r1 = t.sqrt(y1)
-        r2 = t.sqrt(y2)
+    if f.is_zero(d):
+        y1, y2 = _quadratic_monic(f, c, e)
+        r1 = f.sqrt(y1)
+        r2 = f.sqrt(y2)
         return [
             ("biquadratic-1-plus", r1),
-            ("biquadratic-1-minus", t.neg(r1)),
+            ("biquadratic-1-minus", f.neg(r1)),
             ("biquadratic-2-plus", r2),
-            ("biquadratic-2-minus", t.neg(r2)),
+            ("biquadratic-2-minus", f.neg(r2)),
         ]
-    p, q, s = _quartic_split_t(t, c, d, e, strict=strict)
-    x1, x2 = _quadratic_monic_t(t, p, q)
-    x3, x4 = _quadratic_monic_t(t, t.neg(p), s)
+    p, q, s = quartic_split_depressed(f, c, d, e, strict=strict)
+    x1, x2 = _quadratic_monic(f, p, q)
+    x3, x4 = _quadratic_monic(f, f.neg(p), s)
     return [
         ("quadratic-1-plus", x1),
         ("quadratic-1-minus", x2),
@@ -465,17 +424,17 @@ def solve_quartic(field, a, b, c, d, e, strict=False):
     """
     nb, nc, nd, ne = _monic(field, a, b, c, d, e)
     t = _Traced(field)
-    cp, dp, ep, shift = _depress_quartic_t(t, t.wrap(nb), t.wrap(nc), t.wrap(nd), t.wrap(ne))
+    cp, dp, ep, shift = depress_quartic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd), t.wrap(ne))
     if strict:
         if t.is_zero(dp):
             raise StrictHypothesisViolation("depressed d' = 0 (biquadratic case)")
         if t.is_zero(ep):
             raise StrictHypothesisViolation("depressed e' = 0")
-        cond = t.add(t.mul(cp, cp), t.mul(t.int_(12), ep))
+        cond = t.add(t.mul(cp, cp), t.mul(t.from_rational(12), ep))
         if t.is_zero(cond):
             raise StrictHypothesisViolation("c'^2 + 12e' = 0 (resolvent hypothesis)")
-    tvs = _quartic_depressed_tvs(t, cp, dp, ep, strict)
-    return _shifted_records(field, t, tvs, shift)
+    roots = _quartic_depressed_roots(t, cp, dp, ep, strict)
+    return _shifted_records(field, t, roots, shift)
 
 
 def record_self_consistent(record, tol=1e-9):

@@ -23,6 +23,9 @@ BYTE_GOLDENS = {
     # the depressed resolvent constant is 0: strict mode takes Cardano on the
     # resolvent cubic where the default mode takes its zero/sqrt split
     "strict_quartic_zero_resolvent_constant.json": ("x^4 + 3*x^2 + x + 3/8", "--paper-strict"),
+    # decimal coefficients: the complex backend
+    "float_cubic_1_5x3_2_25x_0_75.json": ("1.5*x^3 - 2.25*x + 0.75",),
+    "float_quartic_0_5x4_1_25x3_0_1x_2.json": ("0.5*x^4 - 1.25*x^3 + 0.1*x - 2.0",),
 }
 
 
@@ -94,6 +97,18 @@ def test_parse_zero_denominator():
         parse_polynomial("1/0*x")
 
 
+def test_parse_rejects_superscript_exponent():
+    # "x²" is not a variable name: the name stops at the superscript
+    with pytest.raises(ParseError) as excinfo:
+        parse_polynomial("x² + 1")
+    assert excinfo.value.offset == 1
+
+
+def test_parse_variable_names_with_digits_and_underscores():
+    assert parse_polynomial("x1^2 - 4").variable == "x1"
+    assert parse_polynomial("y_2^3 + y_2").coefficients == {3: 1, 1: 1}
+
+
 # -- solve subcommand -------------------------------------------------------------
 
 
@@ -113,6 +128,13 @@ def test_solve_unsupported_degree(capsys):
 def test_solve_parse_error_exit_code(capsys):
     assert run(["solve", "x^2 + x + + 1"]) == 2
     assert "offset 10" in capsys.readouterr().err
+
+
+def test_solve_superscript_exponent_is_a_parse_error(capsys):
+    assert run(["solve", "x² + 1"]) == 2
+    captured = capsys.readouterr()
+    assert "offset 1" in captured.err
+    assert captured.out == ""
 
 
 def test_solve_paper_strict_rejects_documented_cases(capsys):

@@ -1,67 +1,57 @@
-"""Field-core contract: integer embedding, omega, small powers."""
+"""Field-core contract: the integer embedding and omega.
 
-from fractions import Fraction
+The formulas take their integer constants from ``from_rational``, so its
+restriction to the integers must be the canonical ring map.
+"""
 
-from radica import ComplexField, TowerField, from_integer, omega, small_pow
+from radica import ComplexField, TowerField
 
 
 def test_from_integer_three_is_one_plus_one_plus_one():
     f = ComplexField()
     three = f.add(f.one, f.add(f.one, f.one))
-    assert from_integer(f, 3) == three == 3
+    assert f.from_rational(3) == three == 3
 
 
 def test_from_integer_repeated_doubling_reaches_256():
     f = TowerField()
-    assert f.as_rational(from_integer(f, 256)) == 256
+    two = f.from_rational(2)
+    acc = f.one
+    for _ in range(8):
+        acc = f.mul(acc, two)
+    assert f.eq(acc, f.from_rational(256))
 
 
 def test_from_integer_zero_and_negatives():
     f = TowerField()
-    assert f.is_zero(from_integer(f, 0))
-    assert f.as_rational(from_integer(f, -7)) == -7
+    assert f.is_zero(f.from_rational(0))
+    assert f.as_rational(f.from_rational(-7)) == -7
 
 
 def test_from_integer_is_a_ring_homomorphism(rng):
     f = TowerField()
+    n = f.from_rational
     for _ in range(60):
-        m = rng.randint(-300, 300)
-        n = rng.randint(-300, 300)
-        assert f.eq(from_integer(f, m + n), f.add(from_integer(f, m), from_integer(f, n)))
-        assert f.eq(from_integer(f, m * n), f.mul(from_integer(f, m), from_integer(f, n)))
+        a = rng.randint(-300, 300)
+        b = rng.randint(-300, 300)
+        assert f.eq(n(a + b), f.add(n(a), n(b)))
+        assert f.eq(n(a * b), f.mul(n(a), n(b)))
 
 
 def test_omega_over_complex_doubles():
     f = ComplexField()
-    w = omega(f)
+    w = f.omega()
     assert abs(w - complex(-0.5, 0.8660254037844386)) < 1e-12
     assert abs(w * w * w - 1) < 1e-12
 
 
 def test_omega_minimal_polynomial_exact():
     f = TowerField()
-    w = omega(f)
+    w = f.omega()
     assert f.is_zero(f.add(f.mul(w, w), f.add(w, f.one)))
 
 
 def test_omega_cubed_is_one_exact():
     f = TowerField()
-    w = omega(f)
+    w = f.omega()
     assert f.eq(f.mul(w, f.mul(w, w)), f.one)
-
-
-def test_small_pow_empty_product():
-    f = TowerField()
-    x = f.from_rational(Fraction(7, 3))
-    assert f.eq(small_pow(f, x, 0), f.one)
-
-
-def test_small_pow_two_to_the_eighth():
-    f = TowerField()
-    assert f.as_rational(small_pow(f, f.from_rational(2), 8)) == 256
-
-
-def test_small_pow_omega_cubed():
-    f = ComplexField()
-    w = omega(f)
-    assert abs(small_pow(f, w, 3) - 1) < 1e-12

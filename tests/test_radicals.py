@@ -6,11 +6,10 @@ from radica.radicals import (
     Add,
     Cbrt,
     Div,
-    IntLit,
+    Lit,
     Mul,
     Neg,
     OmegaPow,
-    RatLit,
     Sqrt,
     evaluate,
     lit,
@@ -25,29 +24,37 @@ from radica.radicals import (
 
 
 def test_literal_constructor_picks_node_kind():
-    assert lit(3) == IntLit(3)
-    assert lit(Fraction(6, 2)) == IntLit(3)
-    assert lit(Fraction(1, 2)) == RatLit(Fraction(1, 2))
+    assert lit(3) == Lit(3)
+    assert lit(Fraction(6, 2)) == Lit(3)
+    assert lit(Fraction(1, 2)) == Lit(Fraction(1, 2))
 
 
 def test_literal_folding():
-    assert radd(lit(Fraction(9, 2)), lit(Fraction(7, 2))) == IntLit(8)
-    assert rmul(lit(3), lit(Fraction(1, 3))) == IntLit(1)
-    assert rdiv(lit(-6), lit(-3)) == IntLit(2)
-    assert rneg(lit(Fraction(1, 2))) == RatLit(Fraction(-1, 2))
+    assert radd(lit(Fraction(9, 2)), lit(Fraction(7, 2))) == Lit(8)
+    assert rmul(lit(3), lit(Fraction(1, 3))) == Lit(1)
+    assert rdiv(lit(-6), lit(-3)) == Lit(2)
+    assert rneg(lit(Fraction(1, 2))) == Lit(Fraction(-1, 2))
 
 
 def test_identity_folding():
     x = Sqrt(lit(2))
     assert radd(lit(0), x) is x
     assert rmul(lit(1), x) is x
-    assert rmul(lit(0), x) == IntLit(0)
+    assert rmul(lit(0), x) == Lit(0)
     assert rdiv(x, lit(1)) is x
     assert rneg(rneg(x)) is x
 
 
+def test_omega_powers_fold():
+    x = Sqrt(lit(2))
+    w = OmegaPow(1)
+    assert rmul(w, rmul(w, x)) == Mul(OmegaPow(2), x)
+    assert rmul(w, Mul(OmegaPow(2), x)) is x
+    assert render(rmul(w, rmul(w, x))) == "omega^2*sqrt(2)"
+
+
 def test_roots_stay_symbolic():
-    assert rsqrt(lit(Fraction(49, 4))) == Sqrt(RatLit(Fraction(49, 4)))
+    assert rsqrt(lit(Fraction(49, 4))) == Sqrt(Lit(Fraction(49, 4)))
 
 
 def test_render_cardano_shape():

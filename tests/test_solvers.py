@@ -8,8 +8,9 @@ from radica import (
     BiquadraticQuartic,
     ComplexField,
     DegenerateLeadingTerm,
-    DepressedCubic,
+    ReducibleExtensionError,
     StrictHypothesisViolation,
+    TowerElement,
     TowerField,
     ZeroLinearTerm,
     cardano_root,
@@ -104,26 +105,26 @@ def test_quadratic_general_rejects_zero_leading():
 
 def test_depress_cubic_example():
     f = TowerField()
-    dep = depress_cubic(f, f.from_rational(3), f.zero, f.zero)
-    assert f.as_rational(dep.c) == -3
-    assert f.as_rational(dep.d) == 2
-    assert f.as_rational(dep.shift) == 1
+    c, d, shift = depress_cubic(f, f.from_rational(3), f.zero, f.zero)
+    assert f.as_rational(c) == -3
+    assert f.as_rational(d) == 2
+    assert f.as_rational(shift) == 1
     # independent oracle: substitute x = u - 1 into x^3 + 3x^2
     assert _poly_compose_shift([1, 3, 0, 0], 1) == [1, 0, -3, 2]
 
 
 def test_depress_cubic_already_depressed():
     f = TowerField()
-    dep = depress_cubic(f, f.zero, f.from_rational(5), f.from_rational(-7))
-    assert f.as_rational(dep.c) == 5
-    assert f.as_rational(dep.d) == -7
-    assert f.is_zero(dep.shift)
+    c, d, shift = depress_cubic(f, f.zero, f.from_rational(5), f.from_rational(-7))
+    assert f.as_rational(c) == 5
+    assert f.as_rational(d) == -7
+    assert f.is_zero(shift)
 
 
 def test_depress_cubic_perfect_cube():
     f = TowerField()
-    dep = depress_cubic(f, f.from_rational(3), f.from_rational(3), f.from_rational(1))
-    assert f.is_zero(dep.c) and f.is_zero(dep.d)
+    c, d, _ = depress_cubic(f, f.from_rational(3), f.from_rational(3), f.from_rational(1))
+    assert f.is_zero(c) and f.is_zero(d)
     assert _poly_compose_shift([1, 3, 3, 1], 1) == [1, 0, 0, 0]
 
 
@@ -132,17 +133,17 @@ def test_depress_cubic_roundtrip_random(rng):
         f = TowerField()
         b, c, d = (rand_fraction(rng) for _ in range(3))
         u = rand_fraction(rng)
-        dep = depress_cubic(f, *(f.from_rational(q) for q in (b, c, d)))
-        expected = _poly_compose_shift([1, b, c, d], f.as_rational(dep.shift))
+        dc, dd, shift = depress_cubic(f, *(f.from_rational(q) for q in (b, c, d)))
+        expected = _poly_compose_shift([1, b, c, d], f.as_rational(shift))
         assert expected == [
             1,
             0,
-            f.as_rational(dep.c),
-            f.as_rational(dep.d),
+            f.as_rational(dc),
+            f.as_rational(dd),
         ]
-        x = f.from_rational(u - f.as_rational(dep.shift))
+        x = f.from_rational(u - f.as_rational(shift))
         lhs = horner_eval(f, [f.one, f.from_rational(b), f.from_rational(c), f.from_rational(d)], x)
-        rhs = horner_eval(f, [f.one, f.zero, dep.c, dep.d], f.from_rational(u))
+        rhs = horner_eval(f, [f.one, f.zero, dc, dd], f.from_rational(u))
         assert f.eq(lhs, rhs)
 
 
@@ -151,22 +152,19 @@ def test_depress_cubic_roundtrip_random(rng):
 
 def test_cardano_worked_example():
     f = TowerField()
-    dc = DepressedCubic(f.from_rational(-6), f.from_rational(-9), f.zero)
-    u = cardano_root(f, dc, branch=0)
+    u = cardano_root(f, f.from_rational(-6), f.from_rational(-9), branch=0)
     assert f.as_rational(u) == 3
 
 
 def test_cardano_zero_inner_square_root():
     f = TowerField()
-    dc = DepressedCubic(f.from_rational(-3), f.from_rational(-2), f.zero)
-    u = cardano_root(f, dc, branch=0)
+    u = cardano_root(f, f.from_rational(-3), f.from_rational(-2), branch=0)
     assert f.as_rational(u) == 2
 
 
 def test_cardano_omega_branch_hits_cofactor():
     f = TowerField()
-    dc = DepressedCubic(f.from_rational(-6), f.from_rational(-9), f.zero)
-    u = cardano_root(f, dc, branch=1)
+    u = cardano_root(f, f.from_rational(-6), f.from_rational(-9), branch=1)
     # u**3 - 6u - 9 = (u - 3)(u**2 + 3u + 3); the omega branch solves the cofactor
     value = horner_eval(f, [f.one, f.from_rational(3), f.from_rational(3)], u)
     assert f.is_zero(value)
@@ -174,9 +172,8 @@ def test_cardano_omega_branch_hits_cofactor():
 
 def test_cardano_rejects_zero_c():
     f = TowerField()
-    dc = DepressedCubic(f.zero, f.from_rational(-8), f.zero)
     with pytest.raises(ZeroLinearTerm):
-        cardano_root(f, dc)
+        cardano_root(f, f.zero, f.from_rational(-8))
 
 
 def test_cardano_substitution_zero_random(rng):
@@ -186,7 +183,7 @@ def test_cardano_substitution_zero_random(rng):
         d = f.from_rational(rand_fraction(rng, nonzero=True))
         coeffs = [f.one, f.zero, c, d]
         for branch in range(3):
-            u = cardano_root(f, DepressedCubic(c, d, f.zero), branch)
+            u = cardano_root(f, c, d, branch)
             assert f.is_zero(horner_eval(f, coeffs, u))
 
 
@@ -273,57 +270,57 @@ def test_strict_cubic_matches_total_on_generic_input():
 
 def test_depress_quartic_example():
     f = TowerField()
-    dep = depress_quartic(f, *(f.from_rational(q) for q in (4, 0, 0, 0)))
+    c, d, e, _ = depress_quartic(f, *(f.from_rational(q) for q in (4, 0, 0, 0)))
     assert (
-        f.as_rational(dep.c),
-        f.as_rational(dep.d),
-        f.as_rational(dep.e),
+        f.as_rational(c),
+        f.as_rational(d),
+        f.as_rational(e),
     ) == (-6, 8, -3)
     assert _poly_compose_shift([1, 4, 0, 0, 0], 1) == [1, 0, -6, 8, -3]
 
 
 def test_depress_quartic_already_depressed():
     f = TowerField()
-    dep = depress_quartic(f, f.zero, f.one, f.from_rational(2), f.from_rational(3))
-    assert f.as_rational(dep.c) == 1
-    assert f.as_rational(dep.d) == 2
-    assert f.as_rational(dep.e) == 3
+    c, d, e, _ = depress_quartic(f, f.zero, f.one, f.from_rational(2), f.from_rational(3))
+    assert f.as_rational(c) == 1
+    assert f.as_rational(d) == 2
+    assert f.as_rational(e) == 3
 
 
 def test_depress_quartic_perfect_fourth_power():
     f = TowerField()
-    dep = depress_quartic(f, *(f.from_rational(q) for q in (4, 6, 4, 1)))
-    assert f.is_zero(dep.c) and f.is_zero(dep.d) and f.is_zero(dep.e)
+    c, d, e, _ = depress_quartic(f, *(f.from_rational(q) for q in (4, 6, 4, 1)))
+    assert f.is_zero(c) and f.is_zero(d) and f.is_zero(e)
 
 
 def test_depress_quartic_roundtrip_random(rng):
     for _ in range(50):
         f = TowerField()
         b, c, d, e = (rand_fraction(rng) for _ in range(4))
-        dep = depress_quartic(f, *(f.from_rational(q) for q in (b, c, d, e)))
-        expected = _poly_compose_shift([1, b, c, d, e], f.as_rational(dep.shift))
+        dc, dd, de, shift = depress_quartic(f, *(f.from_rational(q) for q in (b, c, d, e)))
+        expected = _poly_compose_shift([1, b, c, d, e], f.as_rational(shift))
         assert expected == [
             1,
             0,
-            f.as_rational(dep.c),
-            f.as_rational(dep.d),
-            f.as_rational(dep.e),
+            f.as_rational(dc),
+            f.as_rational(dd),
+            f.as_rational(de),
         ]
 
 
 def test_resolvent_coefficients():
     f = TowerField()
-    mc = resolvent_coeffs(f, f.from_rational(2), f.from_rational(1), f.from_rational(2))
-    assert (f.as_rational(mc.b), f.as_rational(mc.c), f.as_rational(mc.d)) == (4, -4, -1)
+    rb, rc, rd = resolvent_coeffs(f, f.from_rational(2), f.from_rational(1), f.from_rational(2))
+    assert (f.as_rational(rb), f.as_rational(rc), f.as_rational(rd)) == (4, -4, -1)
     # P = 1 is a root: 1 + 4 - 4 - 1 = 0
-    value = horner_eval(f, [f.one, mc.b, mc.c, mc.d], f.one)
+    value = horner_eval(f, [f.one, rb, rc, rd], f.one)
     assert f.is_zero(value)
 
 
 def test_resolvent_biquadratic_shape():
     f = TowerField()
-    mc = resolvent_coeffs(f, f.zero, f.zero, f.from_rational(5))
-    assert (f.as_rational(mc.b), f.as_rational(mc.c), f.as_rational(mc.d)) == (0, -20, 0)
+    rb, rc, rd = resolvent_coeffs(f, f.zero, f.zero, f.from_rational(5))
+    assert (f.as_rational(rb), f.as_rational(rc), f.as_rational(rd)) == (0, -20, 0)
 
 
 def test_quartic_split_with_injected_resolvent_root():
@@ -365,6 +362,51 @@ def test_quartic_split_rejects_biquadratic():
     f = TowerField()
     with pytest.raises(BiquadraticQuartic):
         quartic_split_depressed(f, f.from_rational(2), f.zero, f.from_rational(2))
+
+
+# -- the formula helpers on a plain field ---------------------------------------
+
+
+def test_cubic_helpers_on_plain_field_match_solve_cubic(rng):
+    checked = 0
+    for _ in range(30):
+        f = TowerField()
+        a, b, c, d = (f.from_rational(rand_fraction(rng, nonzero=True)) for _ in range(4))
+        records = solve_cubic(f, a, b, c, d)
+        dc, dd, shift = depress_cubic(f, f.div(b, a), f.div(c, a), f.div(d, a))
+        assert all(isinstance(x, TowerElement) for x in (dc, dd, shift))
+        if f.is_zero(dc) or f.is_zero(dd):
+            continue
+        for branch, record in enumerate(records):
+            assert record.label == "cardano-" + "ABC"[branch]
+            root = cardano_root(f, dc, dd, branch)
+            assert isinstance(root, TowerElement)
+            assert f.sub(root, shift) == record.exact
+        checked += 1
+    assert checked >= 25
+
+
+def test_quartic_helpers_on_plain_field_match_solve_quartic(rng):
+    checked = 0
+    while checked < 10:
+        f = TowerField()
+        a, b, c, d, e = (f.from_rational(rand_fraction(rng, 10, nonzero=True)) for _ in range(5))
+        try:
+            records = solve_quartic(f, a, b, c, d, e)
+            dc, dd, de, shift = depress_quartic(f, *(f.div(x, a) for x in (b, c, d, e)))
+            resolvent = resolvent_coeffs(f, dc, dd, de)
+            split = quartic_split_depressed(f, dc, dd, de)
+        except ReducibleExtensionError:
+            continue
+        values = (dc, dd, de, shift, *resolvent, *split)
+        assert all(isinstance(x, TowerElement) for x in values)
+        p, q, s = split
+        factors = {"quadratic-1": (p, q), "quadratic-2": (f.neg(p), s)}
+        for record in records:
+            u = f.add(record.exact, shift)
+            lin, const = factors[record.label.rsplit("-", 1)[0]]
+            assert f.is_zero(f.add(f.mul(u, f.add(u, lin)), const))
+        checked += 1
 
 
 def test_quartic_total_biquadratic():

@@ -10,7 +10,6 @@ from radica import (
     Tower,
     TowerField,
     TowerMismatchError,
-    omega,
 )
 from radica.selftest import rand_fraction
 
@@ -161,7 +160,7 @@ def test_to_complex_of_zero():
 
 def test_omega_embedding():
     f = TowerField()
-    w = omega(f)
+    w = f.omega()
     embed = f.to_complex(w)
     assert abs(embed - complex(-0.5, 0.86602540)) < 1e-7
     assert abs(embed**3 - 1) <= 1e-12
