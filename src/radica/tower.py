@@ -18,9 +18,11 @@ h_k**d_k -> rule, through a per-tower table of reduced monomials; inversion
 multiplies by the adjugate over the level below.  ``debug_str`` and
 ``to_complex`` are defined in the original g basis.
 
-Towers are append-only and immutable: adjoining a root returns a new tower
-sharing the existing levels, and an element built on a shorter tower can be
-used anywhere a longer tower extending it is in play.
+A tower is the level chain of one solve session.  ``Tower.adjoin`` appends
+a level in place; since appending leaves every key unchanged, elements
+built before it keep their value, and the table of reduced monomials stays
+valid as it grows.  Elements of different towers do not mix, except that a
+rational takes the tower of the element it meets.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .complexfield import ccbrt_principal, csqrt_principal
 from .fields import FieldCapabilities
 
 class TowerMismatchError(ValueError):
-    """Raised when combining elements of towers where neither extends the other."""
+    """Raised when combining elements of two different towers, neither of
+    them rational."""
 
 
 class ReducibleExtensionError(ArithmeticError):
@@ -145,7 +148,7 @@ class _Kernel(dict):
         for lv in levels:
             bases.append(bases[-1] * lv.radix)
         #: key of each generator, then one past the largest key
-        self.bases = tuple(bases)
+        self.bases = bases
 
     def __missing__(self, key):
         levels, bases = self.levels, self.bases
@@ -334,25 +337,15 @@ class Level:
         lift = self.scale**self.deg // radicand.den
         self.rule = {k: v * lift for k, v in radicand.terms.items()}
 
-    def __eq__(self, other):
-        if not isinstance(other, Level):
-            return NotImplemented
-        return self.kind == other.kind and self.radicand == other.radicand
-
-    def __hash__(self):
-        return hash((self.kind, self.radicand))
-
-    def __repr__(self):
-        return f"Level({self.kind!r}, radicand={self.radicand!r})"
-
 
 class Tower:
-    """Immutable chain of radical extensions over the rationals."""
+    """The chain of radical extensions over the rationals of one session;
+    ``adjoin`` grows it in place."""
 
     __slots__ = ("levels", "_kernel")
 
     def __init__(self, levels=()):
-        self.levels = tuple(levels)
+        self.levels = list(levels)
         self._kernel = _Kernel(self.levels)
 
     @property
@@ -375,52 +368,26 @@ class Tower:
         """The generator adjoined at ``index`` (0-based), as an element."""
         return TowerElement(self, {self._kernel.bases[index]: 1}, self.levels[index].scale)
 
-    # -- adjunction -------------------------------------------------------------
+    def adjoin(self, kind, a):
+        """Adjoin a ``kind`` ("sqrt" or "cbrt") root of ``a``, which must be
+        an element of this tower or a rational, and return it.
 
-    def _prepare_radicand(self, a):
-        if not isinstance(a, TowerElement):
-            a = self.rational(a)
-        return a._on(self)
-
-    def _grow(self, level):
-        grown = Tower(self.levels + (level,))
-        grown._kernel.update(self._kernel)
-        return grown, grown.generator(self.depth)
-
-    def adjoin_sqrt(self, a):
-        """Adjoin a square root of ``a``.
-
-        Returns ``(tower, generator)``.  If ``a`` is a rational leaf that is
-        a perfect square of a rational, the root is returned directly and
-        the tower is unchanged.  The generator's numeric embedding is the
-        principal complex square root of the radicand's embedding.
+        A rational perfect square, or perfect cube of either sign, returns
+        its rational root and leaves the tower unchanged.  Otherwise a level
+        is appended whose generator embeds as the principal complex root of
+        the radicand's embedding.
         """
-        a = self._prepare_radicand(a)
         q = a.as_rational()
         if q is not None:
-            root = rational_sqrt(q)
+            root = rational_sqrt(q) if kind == "sqrt" else rational_cbrt(q)
             if root is not None:
-                return self, self.rational(root)
-        return self._grow(Level("sqrt", a, csqrt_principal(a.to_complex())))
-
-    def adjoin_cbrt(self, a):
-        """Adjoin a cube root of ``a``; rational perfect cubes (either sign)
-        short-circuit to their rational root with the tower unchanged."""
-        a = self._prepare_radicand(a)
-        q = a.as_rational()
-        if q is not None:
-            root = rational_cbrt(q)
-            if root is not None:
-                return self, self.rational(root)
-        return self._grow(Level("cbrt", a, ccbrt_principal(a.to_complex())))
-
-    def __eq__(self, other):
-        if not isinstance(other, Tower):
-            return NotImplemented
-        return self.levels == other.levels
-
-    def __hash__(self):
-        return hash(self.levels)
+                return self.rational(root)
+        principal = csqrt_principal if kind == "sqrt" else ccbrt_principal
+        level = Level(kind, a, principal(a.to_complex()))
+        self.levels.append(level)
+        bases = self._kernel.bases
+        bases.append(bases[-1] * level.radix)
+        return self.generator(len(self.levels) - 1)
 
     def __repr__(self):
         return f"Tower(depth={self.depth})"
@@ -436,34 +403,18 @@ class TowerElement:
         self.terms = terms
         self.den = den
 
-    # -- tower compatibility ------------------------------------------------
-
-    def _on(self, tower):
-        """This element on ``tower``, which must extend the levels it uses.
-
-        Keys do not change when levels are appended, so only the tower
-        reference moves.
-        """
-        if tower is self.tower:
-            return self
-        mine = self.tower.levels
-        if mine != tower.levels[: len(mine)]:
-            used = bisect_right(self.tower._kernel.bases, max(self.terms, default=0))
-            if mine[:used] != tower.levels[:used]:
-                raise TowerMismatchError("tower mismatch")
-        return TowerElement(tower, self.terms, self.den)
-
     def _pair(self, other):
-        """(tower, other element) for a binary operation, or None."""
+        """(tower, other element) for a binary operation, or None; a rational
+        takes the other side's tower."""
         if other.__class__ is not TowerElement:
             if isinstance(other, (int, Fraction)):
                 return self.tower, self.tower.rational(other)
             return None
-        if self.tower is other.tower:
+        if self.tower is other.tower or other.terms.keys() <= {0}:
             return self.tower, other
-        if self.tower.depth >= other.tower.depth:
-            return self.tower, other._on(self.tower)
-        return self._on(other.tower).tower, other
+        if self.terms.keys() <= {0}:
+            return other.tower, other
+        raise TowerMismatchError("tower mismatch")
 
     # -- ring operations ----------------------------------------------------
 
@@ -530,7 +481,11 @@ class TowerElement:
         """Evaluate the g-basis coefficients at the generators' embeddings.
 
         ``n / den`` is the correctly rounded value of the coefficient, the
-        same float as that of its ``Fraction``.
+        same float as that of its ``Fraction``.  The evaluation runs over
+        every level of the tower, also those adjoined after the element was
+        built, with the same bits: ``_embed`` never returns a -0.0
+        component, so a level the element does not use contributes
+        (+0, +0)*g + v = v.
         """
         levels, den = self.tower.levels, self.den
         coeffs = {k: n / den for k, n in _g_numerators(levels, self.terms).items()}
@@ -562,13 +517,13 @@ class TowerElement:
 
 
 class TowerField(FieldCapabilities):
-    """Field capabilities over a growing radical tower.
+    """Field capabilities over one growing radical tower.
 
-    One instance is a single solve session: the session tower grows as
-    ``sqrt``/``cbrt`` adjoin generators, and repeated calls with the same
-    radicand return the same generator, so each provider is a genuine
-    function.  Towers and elements themselves remain immutable; only the
-    session's notion of "current tower" advances.
+    One instance is a single solve session with one ``Tower``, the same
+    object for the whole session: ``sqrt`` and ``cbrt`` append levels to it,
+    and repeated calls with the same radicand return the same generator, so
+    each provider is a genuine function.  Elements built earlier in the
+    session stay valid as the tower grows.
     """
 
     name = "tower"
@@ -576,15 +531,9 @@ class TowerField(FieldCapabilities):
 
     def __init__(self):
         self.tower = Tower()
+        self.zero = self.tower.rational(0)
+        self.one = self.tower.rational(1)
         self._roots = {}
-
-    @property
-    def zero(self):
-        return _ZERO
-
-    @property
-    def one(self):
-        return _ONE
 
     def add(self, x, y):
         return x + y
@@ -611,26 +560,17 @@ class TowerField(FieldCapabilities):
         return x.as_rational()
 
     def _adjoin(self, kind, x):
-        # keys are the same on every stage of the session tower, so equal
-        # radicands have equal terms
-        x = x._on(self.tower)
+        if x.tower is not self.tower and not x.terms.keys() <= {0}:
+            raise TowerMismatchError("tower mismatch")
+        # the normal form is unique, so equal radicands have equal terms
         key = (kind, x.den, frozenset(x.terms.items()))
-        found = self._roots.get(key)
-        if found is not None:
-            return found
-        if kind == "sqrt":
-            self.tower, g = self.tower.adjoin_sqrt(x)
-        else:
-            self.tower, g = self.tower.adjoin_cbrt(x)
-        self._roots[key] = g
-        return g
+        root = self._roots.get(key)
+        if root is None:
+            root = self._roots[key] = self.tower.adjoin(kind, x)
+        return root
 
     def sqrt(self, x):
         return self._adjoin("sqrt", x)
 
     def cbrt(self, x):
         return self._adjoin("cbrt", x)
-
-
-_ZERO = Tower().rational(0)
-_ONE = Tower().rational(1)

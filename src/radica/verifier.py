@@ -177,9 +177,7 @@ class VerificationReport:
     """Checks for one solve: per-root residuals, the factorization identity,
     and agreement with the numeric oracle."""
 
-    backend: str
     residuals: list
-    residual_threshold: float
     residuals_ok: bool
     factorization_exact: Optional[bool]
     factorization_error: Optional[float]
@@ -193,7 +191,7 @@ class VerificationReport:
         return self.residuals_ok and self.factorization_ok and self.oracle_match is not False
 
 
-def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
+def verify_solution(field, coeffs, records):
     """Check solver output against the input polynomial.
 
     ``coeffs`` are leading-first backend elements (degree 1 to 4) and
@@ -201,8 +199,9 @@ def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
     ``residuals``: exact where records carry exact values, numeric
     otherwise (|p(root)| <= 1e-6 * scale).  The factorization identity
     recovers the monic coefficient list from the roots, and the oracle
-    check matches root multisets against Durand-Kerner.  Oracle
-    non-convergence is flagged in the notes, not failed.
+    check matches root multisets against Durand-Kerner within
+    ``ORACLE_MATCH_TOL``.  Oracle non-convergence is flagged in the notes,
+    not failed.
     """
     degree = len(coeffs) - 1
     if degree < 1 or degree > 4:
@@ -212,12 +211,11 @@ def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
     notes = []
     numeric = [field.to_complex(c) for c in coeffs]
     scale = _scale(numeric)
-    threshold = 0.0 if field.is_exact else FLOAT_RESIDUAL_TOL * scale
     values, residuals_ok = _residuals(field, coeffs, records, numeric)
 
-    ainv = field.inverse(coeffs[0])
-    monic = [field.mul(c, ainv) for c in coeffs]
     if field.is_exact and all(rec.exact is not None for rec in records):
+        ainv = field.inverse(coeffs[0])
+        monic = [field.mul(c, ainv) for c in coeffs]
         expanded = expand_monic_from_roots(field, [rec.exact for rec in records])
         factorization_exact = all(
             field.is_zero(field.sub(x, y)) for x, y in zip(expanded, monic)
@@ -242,15 +240,13 @@ def verify_solution(field, coeffs, records, oracle_tol=ORACLE_MATCH_TOL):
         notes.append(f"oracle did not converge within {exc.iterations} iterations")
     else:
         result = match_root_multisets(
-            [rec.approx for rec in records], oracle_roots, oracle_tol
+            [rec.approx for rec in records], oracle_roots, ORACLE_MATCH_TOL
         )
         oracle_match = result.matched
         oracle_max_distance = result.max_distance
 
     return VerificationReport(
-        backend=field.name,
         residuals=values,
-        residual_threshold=threshold,
         residuals_ok=residuals_ok,
         factorization_exact=factorization_exact,
         factorization_error=factorization_error,

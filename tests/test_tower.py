@@ -19,15 +19,15 @@ from radica.selftest import rand_fraction
 
 def test_adjoin_sqrt_perfect_square_keeps_tower():
     t = Tower()
-    t2, root = t.adjoin_sqrt(t.rational(4))
-    assert t2 is t
+    root = t.adjoin("sqrt", t.rational(4))
+    assert t.depth == 0
     assert root.as_rational() == 2
 
 
 def test_adjoin_sqrt_two():
     t = Tower()
-    t2, g = t.adjoin_sqrt(t.rational(2))
-    assert t2.depth == 1
+    g = t.adjoin("sqrt", t.rational(2))
+    assert t.depth == 1
     assert (g * g).as_rational() == 2
     assert abs(g.to_complex() ** 2 - 2) <= 1e-12 * 2
     assert abs(g.to_complex() - 1.41421356) < 1e-7
@@ -35,7 +35,7 @@ def test_adjoin_sqrt_two():
 
 def test_adjoin_sqrt_negative_three():
     t = Tower()
-    _, g = t.adjoin_sqrt(t.rational(-3))
+    g = t.adjoin("sqrt", t.rational(-3))
     embed = g.to_complex()
     assert abs(embed - 1.7320508j) < 1e-6
     assert abs(embed**2 + 3) <= 1e-12 * 3
@@ -43,23 +43,23 @@ def test_adjoin_sqrt_negative_three():
 
 def test_adjoin_cbrt_perfect_cube_keeps_tower():
     t = Tower()
-    t2, root = t.adjoin_cbrt(t.rational(8))
-    assert t2 is t
+    root = t.adjoin("cbrt", t.rational(8))
+    assert t.depth == 0
     assert root.as_rational() == 2
 
 
 def test_adjoin_cbrt_two():
     t = Tower()
-    t2, g = t.adjoin_cbrt(t.rational(2))
-    assert t2.depth == 1
+    g = t.adjoin("cbrt", t.rational(2))
+    assert t.depth == 1
     assert (g * g * g).as_rational() == 2
     assert abs(g.to_complex() - 1.25992105) < 1e-7
 
 
 def test_adjoin_cbrt_negative_perfect_cube_preserves_sign():
     t = Tower()
-    t2, root = t.adjoin_cbrt(t.rational(-27))
-    assert t2 is t
+    root = t.adjoin("cbrt", t.rational(-27))
+    assert t.depth == 0
     assert root.as_rational() == -3
 
 
@@ -138,6 +138,10 @@ def test_tower_mismatch_between_sessions():
     gb = fb.sqrt(fb.from_rational(3))
     with pytest.raises(TowerMismatchError, match="tower mismatch"):
         ga + gb
+    fa.sqrt(ga + 1)
+    for radicand in (gb + 1, gb + 2):  # the first has the terms of ga + 1
+        with pytest.raises(TowerMismatchError, match="tower mismatch"):
+            fa.sqrt(radicand)
 
 
 def test_rationals_interoperate_across_sessions():
@@ -220,12 +224,38 @@ def test_is_zero_iff_all_leaves_zero():
 
 def test_adjoin_is_append_only():
     t = Tower()
-    t1, g1 = t.adjoin_sqrt(t.rational(2))
-    t2, g2 = t1.adjoin_cbrt(g1)
-    assert t.depth == 0 and t1.depth == 1 and t2.depth == 2
-    assert t2.levels[:1] == t1.levels
-    # elements from the shorter tower stay usable on the longer one
-    assert ((g1 + t.one) * g2).tower.depth == 2
+    g1 = t.adjoin("sqrt", t.rational(2))
+    first = t.levels[0]
+    g2 = t.adjoin("cbrt", g1)
+    assert t.depth == 2 and t.levels[0] is first
+    # elements built before an adjunction stay usable after it
+    assert ((g1 + t.one) * g2).tower is t
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_session_tower_grows_in_place_keeping_earlier_elements():
+    f = TowerField()
+    tower = f.tower
+
+    def build():
+        g1 = f.sqrt(f.from_rational(2))
+        return f.sub(f.from_rational(Fraction(-7, 3)), f.mul(f.from_rational(5), g1))
+
+    x, y = build(), build()
+    body = x.debug_str().split(" where ")[0]
+    before = (hash(x), body, _bits(f.to_complex(x)))
+    g2 = f.sqrt(f.from_rational(-3))
+    g3 = f.cbrt(f.sub(f.one, f.mul(f.from_rational(2), g2)))
+    assert f.tower is tower and tower.depth == 3
+    z = build()
+    assert x == y and x == z and x != g3
+    assert x.debug_str().split(" where ")[0] == body
+    assert x.debug_str().endswith("; g3^3 = (1) + (-2)*g2")
+    assert (hash(x), body, _bits(f.to_complex(x))) == before
+    assert hash(z) == before[0] and _bits(f.to_complex(z)) == before[2]
 
 
 def test_session_reuses_generator_for_same_radicand():
@@ -360,11 +390,10 @@ def _random_tower(rng, degs):
             radicand = _ref_random(rng, degs, k, rng.randint(1, 4))
             if k and not any(e for exps in radicand for e in exps):
                 continue
-            adjoin = tower.adjoin_sqrt if deg == 2 else tower.adjoin_cbrt
-            grown, g = adjoin(_from_ref(tower, gens, radicand))
-            if grown.depth > k:  # else a rational perfect power
+            g = tower.adjoin("sqrt" if deg == 2 else "cbrt", _from_ref(tower, gens, radicand))
+            if tower.depth > k:  # else a rational perfect power
                 break
-        tower, gens = grown, gens + [g]
+        gens.append(g)
         levels.append((deg, radicand))
     return tower, gens, levels
 
@@ -372,7 +401,6 @@ def _random_tower(rng, degs):
 def _check_against_reference(tower, gens, levels, x, y):
     """Compare the kernel with the reference on x, y and what they make;
     True when x was inverted."""
-    n = tower.depth
     kx, ky = _from_ref(tower, gens, x), _from_ref(tower, gens, y)
     for ref, got in (
         (x, kx),
@@ -394,13 +422,6 @@ def _check_against_reference(tower, gens, levels, x, y):
         assert got.as_rational() == (sum(ref.values(), Fraction(0)) if rational else None)
     assert (kx == ky) == (x == y)
     assert kx == _from_ref(tower, gens, dict(reversed(list(x.items()))))
-    # the same value on a longer tower is equal and hashes the same
-    longer, _ = tower.adjoin_sqrt(kx * kx + ky + 7)
-    if longer.depth > n:
-        lifted = kx + longer.zero
-        assert lifted.tower is longer
-        assert lifted == kx and hash(lifted) == hash(kx)
-        assert lifted.debug_str().startswith(kx.debug_str().split(" where ")[0])
     if x:
         try:
             assert kx * kx.inverse() == tower.one
@@ -436,12 +457,9 @@ def _zero_divisor_tower(rng):
                 return x
 
     def adjoin(radicand):
-        nonlocal tower, gens
         deg = degs[len(levels)]
-        adjoin = tower.adjoin_sqrt if deg == 2 else tower.adjoin_cbrt
-        grown, g = adjoin(_from_ref(tower, gens, radicand))
-        assert grown.depth == len(levels) + 1
-        tower, gens = grown, gens + [g]
+        gens.append(tower.adjoin("sqrt" if deg == 2 else "cbrt", _from_ref(tower, gens, radicand)))
+        assert tower.depth == len(levels) + 1
         levels.append((deg, radicand))
 
     adjoin({(0,) * 5: Fraction(rng.choice((2, 3, 5, 7)))})
