@@ -1,8 +1,8 @@
 """Command-line front end: parse a polynomial, solve, display, verify.
 
 Exit codes: 0 success, 2 parse error, 3 unsupported degree (0 or above 4),
-4 backend failure (including paper-strict rejections and fallback failure),
-5 verification failure.
+4 backend failure (including paper-strict rejections and values beyond
+float range), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def _coefficients_json(poly):
     return out
 
 
-def _report_json(poly, backend_name, records, values, report, notes):
+def _report_json(poly, backend_name, records, values, report):
     roots = []
     for record, residual in zip(records, values):
         roots.append(
@@ -271,7 +271,7 @@ def _report_json(poly, backend_name, records, values, report, notes):
         verification = {
             "factorization_ok": report.factorization_ok,
             "oracle_match": report.oracle_match,
-            "notes": list(report.notes) + list(notes),
+            "notes": report.notes,
         }
     return {
         "degree": poly.degree,
@@ -294,48 +294,28 @@ def _cmd_solve(args):
         return EXIT_DEGREE
 
     use_complex = args.field == "complex" or not poly.exact
-    notes = []
+    backend_name = "complex" if use_complex else "exact"
     dense = _dense_coeffs(poly)
-
-    def magnitude(c):
-        try:
-            return abs(complex(float(c)))
-        except OverflowError:
-            return math.inf
-
-    scale = max(1.0, max(magnitude(c) for c in dense))
-
-    def attempt(on_complex):
-        if on_complex:
-            field = ComplexField(scale=scale)
+    try:
+        if use_complex:
             coeffs = [complex(float(c)) for c in dense]
+            field = ComplexField(scale=max(1.0, max(abs(z) for z in coeffs)))
         else:
             field = TowerField()
             coeffs = [field.from_rational(Fraction(c)) for c in dense]
         records = _solve(field, coeffs, args.paper_strict)
-        return field, coeffs, records
-
-    try:
-        try:
-            field, coeffs, records = attempt(use_complex)
-            backend_name = "complex" if use_complex else "exact"
-        except ReducibleExtensionError:
-            notes.append("reducible extension, retried on floats")
-            field, coeffs, records = attempt(True)
-            backend_name = "complex"
+        if args.verify:
+            report = verify_solution(field, coeffs, records)
+            values = report.residuals
+        else:
+            report = None
+            values, _ = residuals(field, coeffs, records)
     except StrictHypothesisViolation as exc:
         print(f"paper-strict mode rejects this input: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (SolverError, ZeroDivisionError, ReducibleExtensionError, OverflowError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-
-    if args.verify:
-        report = verify_solution(field, coeffs, records)
-        values = report.residuals
-    else:
-        report = None
-        values, _ = residuals(field, coeffs, records)
 
     order = sorted(
         range(len(records)), key=lambda i: (records[i].approx.real, records[i].approx.imag)
@@ -344,7 +324,7 @@ def _cmd_solve(args):
     values = [values[i] for i in order]
 
     if args.format == "json":
-        payload = _report_json(poly, backend_name, records, values, report, notes)
+        payload = _report_json(poly, backend_name, records, values, report)
         print(json.dumps(payload, indent=2))
     else:
         print(f"{poly.source.strip()}: degree {degree}, field {backend_name}")
@@ -359,8 +339,6 @@ def _cmd_solve(args):
             print(line)
             if args.radical:
                 print(f"    radical: {render_radical(record)}")
-        for note in notes:
-            print(f"  note: {note}")
         if report is not None:
             oracle = (
                 "matched" if report.oracle_match
@@ -416,7 +394,7 @@ def run(argv=None):
         "--field",
         choices=["exact", "complex"],
         default="exact",
-        help="backend; exact falls back to complex on a reducible extension",
+        help="backend; decimal coefficients force complex",
     )
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--verify", action="store_true", help="attach a verification report")

@@ -33,11 +33,11 @@ from .tower import ReducibleExtensionError, TowerField
 from .verifier import (
     NoConvergence,
     durand_kerner,
-    expand_monic_from_roots,
     horner_eval,
     match_root_multisets,
     negative_exhibit_two_cbrts,
     omega_twisting_cbrt,
+    residuals,
     verify_solution,
 )
 
@@ -69,18 +69,15 @@ def check_cardano_correctness(rng, n):
 
 
 def check_cubic_factorization_uniqueness(rng, n):
-    """The roots of n depressed cubics expand exactly to their coefficients,
-    and n/4 rational non-roots leave a nonzero residual."""
+    """The roots of n depressed cubics pass the verifier's residual and
+    factorization checks, and n/4 rational non-roots leave a nonzero residual."""
     ok = True
     corpus = _cubic_corpus(rng, n)
     for c, d in corpus:
         f = TowerField()
-        fc, fd = f.from_rational(c), f.from_rational(d)
-        records = solve_cubic(f, f.one, f.zero, fc, fd)
-        expanded = expand_monic_from_roots(f, [r.exact for r in records])
-        for got, want in zip(expanded, [f.one, f.zero, fc, fd]):
-            if not f.eq(got, want):
-                ok = False
+        coeffs = [f.one, f.zero, f.from_rational(c), f.from_rational(d)]
+        report = verify_solution(f, coeffs, solve_cubic(f, *coeffs))
+        ok &= report.residuals_ok and report.factorization_ok
     nonroot_checked = 0
     while nonroot_checked < n // 4:
         c, d = corpus[rng.randrange(len(corpus))]
@@ -97,22 +94,16 @@ def check_cubic_factorization_uniqueness(rng, n):
 
 
 def check_quadratic_suite(rng, n):
-    """n quadratics: exact substitution, factorization and uniqueness."""
+    """n quadratics pass the verifier's residual and factorization checks,
+    and a rational non-root of each leaves a nonzero residual."""
     ok = True
     for _ in range(n):
         a, b, c = rand_fraction(rng, nonzero=True), rand_fraction(rng), rand_fraction(rng)
         f = TowerField()
-        fa, fb, fc = (f.from_rational(q) for q in (a, b, c))
-        ainv = f.inverse(fa)
-        records = solve_quadratic(f, f.one, f.mul(fb, ainv), f.mul(fc, ainv))
-        coeffs = [fa, fb, fc]
-        for r in records:
-            if not f.is_zero(horner_eval(f, coeffs, r.exact)):
-                ok = False
-        expanded = expand_monic_from_roots(f, [r.exact for r in records])
-        monic = [f.one, f.mul(fb, ainv), f.mul(fc, ainv)]
-        if not all(f.eq(x, y) for x, y in zip(expanded, monic)):
-            ok = False
+        coeffs = [f.from_rational(q) for q in (a, b, c)]
+        records = solve_quadratic(f, *coeffs)
+        report = verify_solution(f, coeffs, records)
+        ok &= report.residuals_ok and report.factorization_ok
         x = f.from_rational(rand_fraction(rng))
         if not any(f.eq(x, r.exact) for r in records):
             if f.is_zero(horner_eval(f, coeffs, x)):
@@ -122,11 +113,8 @@ def check_quadratic_suite(rng, n):
 
 def check_quartic_split_identity(rng, n):
     """n depressed quartics with c^2 + 12e != 0: the quadratic split expands
-    exactly and the roots substitute to zero; a reducible extension is
-    checked in floats instead, and counted."""
+    exactly and the roots substitute to zero."""
     ok = True
-    exact_roots = 0
-    float_fallbacks = 0
     produced = 0
     while produced < n:
         c = rand_fraction(rng)
@@ -137,34 +125,17 @@ def check_quartic_split_identity(rng, n):
         produced += 1
         f = TowerField()
         fc, fd, fe = (f.from_rational(q) for q in (c, d, e))
-        try:
-            p, q, s = quartic_split_depressed(f, fc, fd, fe)
-            if not (
-                f.eq(f.sub(f.add(q, s), f.mul(p, p)), fc)
-                and f.eq(f.mul(p, f.sub(s, q)), fd)
-                and f.eq(f.mul(q, s), fe)
-            ):
-                ok = False
-            records = solve_quartic(f, f.one, f.zero, fc, fd, fe)
-            coeffs = [f.one, f.zero, fc, fd, fe]
-            for r in records:
-                if not f.is_zero(horner_eval(f, coeffs, r.exact)):
-                    ok = False
-            exact_roots += 1
-        except ReducibleExtensionError:
-            float_fallbacks += 1
-            scale = max(1.0, float(max(abs(c), abs(d), abs(e))))
-            cf = ComplexField(scale=scale)
-            records = solve_quartic(
-                cf, cf.one, cf.zero, complex(float(c)), complex(float(d)), complex(float(e))
-            )
-            for r in records:
-                residual = abs(
-                    r.approx**4 + float(c) * r.approx**2 + float(d) * r.approx + float(e)
-                )
-                if residual > 1e-6 * scale:
-                    ok = False
-    return ok, f"exact={exact_roots}, float-fallback={float_fallbacks}"
+        p, q, s = quartic_split_depressed(f, fc, fd, fe)
+        if not (
+            f.eq(f.sub(f.add(q, s), f.mul(p, p)), fc)
+            and f.eq(f.mul(p, f.sub(s, q)), fd)
+            and f.eq(f.mul(q, s), fe)
+        ):
+            ok = False
+        coeffs = [f.one, f.zero, fc, fd, fe]
+        _, residuals_ok = residuals(f, coeffs, solve_quartic(f, *coeffs))
+        ok &= residuals_ok
+    return ok, ""
 
 
 def check_depress_roundtrips(rng, n):

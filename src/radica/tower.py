@@ -45,8 +45,9 @@ class ReducibleExtensionError(ArithmeticError):
 
     Raised when inverting a nonzero zero-divisor.  ``factor`` carries the
     discovered proper factor of the defining polynomial (little-endian
-    coefficient list of elements of the tower below the level).  The tower is not auto-split;
-    callers typically retry on the approximate backend.
+    coefficient list of elements of the tower below the level).  The tower is
+    not auto-split.  On rational coefficients the solvers invert only units,
+    so they never raise it.
     """
 
     def __init__(self, factor):

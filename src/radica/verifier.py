@@ -180,10 +180,8 @@ class VerificationReport:
     residuals: list
     residuals_ok: bool
     factorization_exact: Optional[bool]
-    factorization_error: Optional[float]
     factorization_ok: bool
     oracle_match: Optional[bool]
-    oracle_max_distance: Optional[float]
     notes: list = dc_field(default_factory=list)
 
     @property
@@ -220,39 +218,32 @@ def verify_solution(field, coeffs, records):
         factorization_exact = all(
             field.is_zero(field.sub(x, y)) for x, y in zip(expanded, monic)
         )
-        factorization_error = None
         factorization_ok = factorization_exact
     else:
         lead = numeric[0]
         monic_num = [z / lead for z in numeric]
         expanded = expand_monic_from_roots(ComplexField(), [rec.approx for rec in records])
         factorization_exact = None
-        factorization_error = max(
-            abs(x - y) for x, y in zip(expanded, monic_num)
+        factorization_ok = (
+            max(abs(x - y) for x, y in zip(expanded, monic_num)) <= FLOAT_RESIDUAL_TOL * scale
         )
-        factorization_ok = factorization_error <= FLOAT_RESIDUAL_TOL * scale
 
     oracle_match = None
-    oracle_max_distance = None
     try:
         oracle_roots = durand_kerner(numeric)
     except NoConvergence as exc:
         notes.append(f"oracle did not converge within {exc.iterations} iterations")
     else:
-        result = match_root_multisets(
+        oracle_match = match_root_multisets(
             [rec.approx for rec in records], oracle_roots, ORACLE_MATCH_TOL
-        )
-        oracle_match = result.matched
-        oracle_max_distance = result.max_distance
+        ).matched
 
     return VerificationReport(
         residuals=values,
         residuals_ok=residuals_ok,
         factorization_exact=factorization_exact,
-        factorization_error=factorization_error,
         factorization_ok=factorization_ok,
         oracle_match=oracle_match,
-        oracle_max_distance=oracle_max_distance,
         notes=notes,
     )
 

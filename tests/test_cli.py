@@ -223,23 +223,32 @@ def test_exact_horner_runs_once_per_root(capsys, monkeypatch, flags, calls):
     assert len(seen) == calls
 
 
-def test_reducible_extension_falls_back_to_complex(capsys, monkeypatch):
+def test_reducible_extension_is_a_backend_failure(capsys, monkeypatch):
     import radica.cli as cli
     from radica.tower import ReducibleExtensionError
 
-    real_solve = cli.solve_cubic
+    def reducible(field, *coeffs):
+        raise ReducibleExtensionError([])
 
-    def flaky(field, *coeffs):
-        if field.is_exact:
-            raise ReducibleExtensionError([])
-        return real_solve(field, *coeffs)
+    def no_complex_field(*args, **kwargs):
+        raise AssertionError("exact solve retried on the complex backend")
 
-    monkeypatch.setattr(cli, "solve_cubic", flaky)
+    monkeypatch.setattr(cli, "solve_cubic", reducible)
+    monkeypatch.setattr(cli, "ComplexField", no_complex_field)
     code = run(["solve", "x^3 - 2*x - 5", "--format", "json", "--verify"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["field"] == "complex"
-    assert "reducible extension, retried on floats" in payload["verification"]["notes"]
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "solver failed: reducible extension\n"
+
+
+def test_verify_out_of_float_range_coefficient_is_a_backend_failure(capsys):
+    # the verifier embeds the coefficients in complex doubles, and 10**400
+    # has no double
+    assert run(["solve", "--verify", "--", "1" + "0" * 400 + "*x^2 + 1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver failed: integer division result too large for a float\n"
 
 
 def test_json_roots_of_x_squared_plus_one(capsys):

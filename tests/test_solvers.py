@@ -1,5 +1,6 @@
 """Solver formulas: depressions, Cardano, the quartic split, records."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from radica import (
     solve_cubic,
     solve_quadratic,
     solve_quartic,
+    verify_solution,
 )
 from radica.complexfield import csqrt_principal
 from radica.radicals import evaluate
@@ -587,3 +589,59 @@ def test_complex_backend_solves_decimal_style_inputs():
         value = r.approx**3 - 6.5 * r.approx - 9.25
         assert abs(value) <= 1e-6 * 10
         assert abs(evaluate(r.radical) - r.approx) <= 1e-9 * max(1, abs(r.approx))
+
+
+def _product(*factors):
+    """Leading-first coefficients of a product of leading-first polynomials."""
+    out = [Fraction(1)]
+    for factor in factors:
+        nxt = [Fraction(0)] * (len(out) + len(factor) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(factor):
+                nxt[i + j] += x * y
+        out = nxt
+    return out
+
+
+def test_exact_solves_never_invert_a_zero_divisor():
+    """Inputs whose towers are reducible solve exactly in both modes.
+
+    A radicand that is a perfect power over the levels below makes the
+    tower a ring with zero divisors, but on rational input the solvers
+    invert only units, so ``ReducibleExtensionError`` cannot fire:
+
+    - rationals: the leading coefficient and small integer constants;
+    - ``3*omega**k*t`` in Cardano's ``c/(3t)``, where ``t**3`` is one
+      radicand R: R times the conjugate radicand is ``c**3/27 != 0`` and
+      ``omega**3 = 1``, so ``t * t**2 * R' * 27/c**3 = 1``;
+    - ``p = sqrt(P)`` in the quartic split's ``d/p``, where P satisfies the
+      resolvent ``P*(P**2 + 2c*P + c**2 - 4e) = d**2 != 0`` as a ring
+      identity, so P and with it p are units.
+
+    Strict mode may still reject an input outside its hypotheses.
+    """
+    values = (-2, -1, 0, Fraction(1, 2), 3)
+    polys = [
+        _product(*([1, -r] for r in roots))
+        for degree in (3, 4)
+        for roots in itertools.combinations_with_replacement(values, degree)
+    ]
+    polys += [
+        _product([1, 0, -2 * k * k], [1, 0, -2 * m * m]) for k in (1, 2, 3) for m in (1, 2, 3)
+    ]
+    polys += [_product([1, 1, 1], [1, 0, 3 * k * k]) for k in (1, 2)]
+    polys += [_product([1, 0, 0, -8 * a], [1, -b]) for a in (1, 2, -1) for b in (2, -2, 1)]
+    strict_solved = 0
+    for coeffs, strict in itertools.product(polys, (False, True)):
+        f = TowerField()
+        elems = [f.from_rational(q) for q in coeffs]
+        solve = solve_cubic if len(coeffs) == 4 else solve_quartic
+        try:
+            records = solve(f, *elems, strict=strict)
+        except StrictHypothesisViolation:
+            assert strict, coeffs
+            continue
+        report = verify_solution(f, elems, records)
+        assert report.residuals_ok and report.factorization_ok, (coeffs, strict)
+        strict_solved += strict
+    assert strict_solved >= len(polys) // 2
