@@ -158,29 +158,36 @@ def _prec(e):
     return _PREC_ATOM
 
 
-def _render(e, ctx):
-    if isinstance(e, Lit):
-        text = str(e.value)
-    elif isinstance(e, Add):
-        left = _render(e.left, _PREC_ADD)
-        if isinstance(e.right, Neg):
-            text = f"{left} - {_render(e.right.child, _PREC_MUL)}"
+def _render(e, ctx, memo):
+    """Text of ``e`` in precedence context ``ctx``.  ``memo`` maps id(node)
+    to the node's unparenthesized text: the trees are DAGs (P, p and the
+    Cardano radical recur within one root), and only the parentheses
+    depend on the context."""
+    text = memo.get(id(e))
+    if text is None:
+        if isinstance(e, Lit):
+            text = str(e.value)
+        elif isinstance(e, Add):
+            left = _render(e.left, _PREC_ADD, memo)
+            if isinstance(e.right, Neg):
+                text = f"{left} - {_render(e.right.child, _PREC_MUL, memo)}"
+            else:
+                text = f"{left} + {_render(e.right, _PREC_MUL, memo)}"
+        elif isinstance(e, Neg):
+            text = f"-{_render(e.child, _PREC_MUL + 1, memo)}"
+        elif isinstance(e, Mul):
+            text = f"{_render(e.left, _PREC_MUL, memo)}*{_render(e.right, _PREC_MUL + 1, memo)}"
+        elif isinstance(e, Div):
+            text = f"{_render(e.num, _PREC_MUL + 1, memo)}/{_render(e.den, _PREC_MUL + 1, memo)}"
+        elif isinstance(e, Sqrt):
+            text = f"sqrt({_render(e.child, 0, memo)})"
+        elif isinstance(e, Cbrt):
+            text = f"cbrt({_render(e.child, 0, memo)})"
+        elif isinstance(e, OmegaPow):
+            text = "omega" if e.power == 1 else f"omega^{e.power}"
         else:
-            text = f"{left} + {_render(e.right, _PREC_MUL)}"
-    elif isinstance(e, Neg):
-        text = f"-{_render(e.child, _PREC_MUL + 1)}"
-    elif isinstance(e, Mul):
-        text = f"{_render(e.left, _PREC_MUL)}*{_render(e.right, _PREC_MUL + 1)}"
-    elif isinstance(e, Div):
-        text = f"{_render(e.num, _PREC_MUL + 1)}/{_render(e.den, _PREC_MUL + 1)}"
-    elif isinstance(e, Sqrt):
-        text = f"sqrt({_render(e.child, 0)})"
-    elif isinstance(e, Cbrt):
-        text = f"cbrt({_render(e.child, 0)})"
-    elif isinstance(e, OmegaPow):
-        text = "omega" if e.power == 1 else f"omega^{e.power}"
-    else:
-        raise TypeError(f"not a radical expression: {e!r}")
+            raise TypeError(f"not a radical expression: {e!r}")
+        memo[id(e)] = text
     if _prec(e) < ctx:
         return f"({text})"
     return text
@@ -188,7 +195,7 @@ def _render(e, ctx):
 
 def render(e):
     """Deterministic text of the expression tree."""
-    return _render(e, 0)
+    return _render(e, 0, {})
 
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)

@@ -276,20 +276,26 @@ def _cubic_depressed_roots(f, c, d, strict=False):
 
     Case split: c = 0 gives the three cube roots of -d; d = 0 gives 0 and
     +-sqrt(-c); otherwise the three Cardano branches.  ``strict`` skips
-    the split and takes Cardano, which then requires c != 0.
+    the split and takes Cardano, which then requires c != 0.  The roots
+    are yielded lazily, in that order: a caller that stops after the first
+    one never takes omega, so sqrt(-3) is adjoined only when a later root
+    is asked for.
     """
     if not strict and f.is_zero(c):
         base = f.cbrt(f.neg(d))
+        yield "cuberoot-A", base
         w = f.omega()
         second = f.mul(w, base)
-        return [("cuberoot-A", base), ("cuberoot-B", second), ("cuberoot-C", f.mul(w, second))]
-    if not strict and f.is_zero(d):
+        yield "cuberoot-B", second
+        yield "cuberoot-C", f.mul(w, second)
+    elif not strict and f.is_zero(d):
         root = f.sqrt(f.neg(c))
-        return [("zero", f.from_rational(0)), ("sqrt-plus", root), ("sqrt-minus", f.neg(root))]
-    return [
-        (f"cardano-{name}", cardano_root(f, c, d, branch))
-        for branch, name in enumerate("ABC")
-    ]
+        yield "zero", f.from_rational(0)
+        yield "sqrt-plus", root
+        yield "sqrt-minus", f.neg(root)
+    else:
+        for branch, name in enumerate("ABC"):
+            yield f"cardano-{name}", cardano_root(f, c, d, branch)
 
 
 def solve_cubic(field, a, b, c, d, strict=False):
@@ -314,7 +320,8 @@ def solve_cubic(field, a, b, c, d, strict=False):
             raise StrictHypothesisViolation("2b^3 - 9abc + 27a^2*d = 0")
     t = _Traced(field)
     cp, dp, shift = depress_cubic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
-    return _shifted_records(field, t, _cubic_depressed_roots(t, cp, dp, strict), shift)
+    roots = list(_cubic_depressed_roots(t, cp, dp, strict))
+    return _shifted_records(field, t, roots, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +364,15 @@ def resolvent_coeffs(f, c, d, e):
 def quartic_split_depressed(f, c, d, e, strict=False, resolvent_root=None):
     """(p, q, s) splitting u**4 + cu**2 + du + e into (u**2 + pu + q)(u**2 - pu + s).
 
-    Picks a nonzero root P of the resolvent cubic (trying the Cardano-A
-    branch first, then B and C; ``strict`` solves the resolvent as
-    ``solve_cubic`` does in strict mode), sets p = sqrt(P),
-    q = (c + P - d/p)/2 and s = (c + P + d/p)/2; the expansion identity
-    holds exactly in the exact backend.  ``resolvent_root`` overrides the
-    choice of P.  Requires d != 0.
+    Picks a nonzero root P of the resolvent cubic: the candidates are
+    taken lazily in ``_cubic_depressed_roots`` order (Cardano-A first in
+    the generic case) and the first nonzero one is used, so the later
+    branches, and the omega they need, are built only when the first
+    candidate is zero.  ``strict`` solves the resolvent as ``solve_cubic``
+    does in strict mode.  Then p = sqrt(P), q = (c + P - d/p)/2 and
+    s = (c + P + d/p)/2; the expansion identity holds exactly in the exact
+    backend.  ``resolvent_root`` overrides the choice of P.  Requires
+    d != 0.
     """
     if f.is_zero(d):
         raise BiquadraticQuartic("biquadratic case")
@@ -370,14 +380,11 @@ def quartic_split_depressed(f, c, d, e, strict=False, resolvent_root=None):
         candidates = [resolvent_root]
     else:
         cp, dp, shift = depress_cubic(f, *resolvent_coeffs(f, c, d, e))
-        candidates = [f.sub(r, shift) for _, r in _cubic_depressed_roots(f, cp, dp, strict)]
+        candidates = (f.sub(r, shift) for _, r in _cubic_depressed_roots(f, cp, dp, strict))
     # every resolvent root is nonzero when d != 0 (their product is d**2),
     # but the float backend's zero test may fire near zero; fall through
-    for cand in candidates:
-        if not f.is_zero(cand):
-            big_p = cand
-            break
-    else:
+    big_p = next((cand for cand in candidates if not f.is_zero(cand)), None)
+    if big_p is None:
         raise SolverError("no usable resolvent root")
     p = f.sqrt(big_p)
     d_over_p = f.div(d, p)

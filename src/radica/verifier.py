@@ -2,10 +2,12 @@
 
 Residuals by Horner substitution, coefficient recovery from roots,
 a Durand-Kerner simultaneous-iteration oracle, multiset matching of
-root sets, and assembly of a per-solve verification report.  Also hosts
-the negative demonstration: the uncorrected two-cube-roots formula fails
-under a valid but adversarial cube-root provider, while the corrected
-t = c/(3s) form never does.
+root sets, and assembly of a per-solve verification report.  In the
+report the exact residuals come from the factorization identity (when the
+roots expand to the monic input, each root is exact); Horner runs only
+when the identity fails.  Also hosts the negative demonstration: the
+uncorrected two-cube-roots formula fails under a valid but adversarial
+cube-root provider, while the corrected t = c/(3s) form never does.
 """
 
 from __future__ import annotations
@@ -193,13 +195,19 @@ def verify_solution(field, coeffs, records):
     """Check solver output against the input polynomial.
 
     ``coeffs`` are leading-first backend elements (degree 1 to 4) and
-    ``records`` the degree-many root records.  Residuals come from
-    ``residuals``: exact where records carry exact values, numeric
-    otherwise (|p(root)| <= 1e-6 * scale).  The factorization identity
+    ``records`` the degree-many root records.  The factorization identity
     recovers the monic coefficient list from the roots, and the oracle
     check matches root multisets against Durand-Kerner within
     ``ORACLE_MATCH_TOL``.  Oracle non-convergence is flagged in the notes,
     not failed.
+
+    On the exact backend, with every record exact, the factorization runs
+    first: when the expansion equals the monic input, p(r_i) =
+    a*prod(r_i - r_j) = 0 is a ring identity, so every residual is exactly
+    0 and no root is substituted.  Otherwise the residuals come from
+    ``residuals``: exact Horner where records carry exact values, numeric
+    elsewhere (|p(root)| <= 1e-6 * scale).  The normal form is unique, so
+    both routes give the same report.
     """
     degree = len(coeffs) - 1
     if degree < 1 or degree > 4:
@@ -209,7 +217,6 @@ def verify_solution(field, coeffs, records):
     notes = []
     numeric = [field.to_complex(c) for c in coeffs]
     scale = _scale(numeric)
-    values, residuals_ok = _residuals(field, coeffs, records, numeric)
 
     if field.is_exact and all(rec.exact is not None for rec in records):
         ainv = field.inverse(coeffs[0])
@@ -227,6 +234,10 @@ def verify_solution(field, coeffs, records):
         factorization_ok = (
             max(abs(x - y) for x, y in zip(expanded, monic_num)) <= FLOAT_RESIDUAL_TOL * scale
         )
+    if factorization_exact:
+        values, residuals_ok = [0.0] * degree, True
+    else:
+        values, residuals_ok = _residuals(field, coeffs, records, numeric)
 
     oracle_match = None
     try:

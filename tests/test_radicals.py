@@ -71,6 +71,16 @@ def test_render_atoms_and_parens():
     assert render(Div(Add(lit(1), Sqrt(lit(2))), lit(2))) == "(1 + sqrt(2))/2"
 
 
+def test_render_shared_node_keeps_per_context_parens():
+    def tree(shared_sum):
+        return Add(Mul(lit(3), shared_sum()), Sqrt(shared_sum()))
+
+    node = Add(lit(1), Sqrt(lit(2)))
+    shared = render(tree(lambda: node))
+    fresh = render(tree(lambda: Add(lit(1), Sqrt(lit(2)))))
+    assert shared == fresh == "3*(1 + sqrt(2)) + sqrt(1 + sqrt(2))"
+
+
 def test_evaluate_matches_principal_branches():
     expr = rsub(
         Cbrt(radd(lit(Fraction(9, 2)), rsqrt(lit(Fraction(49, 4))))),

@@ -360,6 +360,51 @@ def test_quartic_split_expansion_identity_random(rng):
         assert f.eq(f.mul(q, s), e)
 
 
+def test_generic_exact_quartic_never_takes_omega(monkeypatch):
+    def no_omega(self):
+        raise AssertionError("omega taken")
+
+    monkeypatch.setattr(TowerField, "omega", no_omega)
+    f = TowerField()
+    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
+    records = solve_quartic(f, *coeffs)
+    assert verify_solution(f, coeffs, records).factorization_exact is True
+    assert f.tower.depth == 5
+    assert all(level.radicand != (((0, -3),), 1) for level in f.tower.levels)
+
+
+class _FirstResolventCandidateZero(TowerField):
+    """Reports the first resolvent candidate as zero: on the quartic path it
+    is the first zero test after the first cube root."""
+
+    def __init__(self):
+        super().__init__()
+        self.cubed = self.fired = False
+
+    def cbrt(self, x):
+        self.cubed = True
+        return super().cbrt(x)
+
+    def is_zero(self, x):
+        if self.cubed and not self.fired:
+            self.fired = True
+            return True
+        return super().is_zero(x)
+
+
+def test_quartic_split_falls_through_to_cardano_b():
+    f = _FirstResolventCandidateZero()
+    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
+    records = solve_quartic(f, *coeffs)
+    assert f.fired
+    # branch B multiplies by omega, which adjoins sqrt(-3)
+    assert any(level.radicand == (((0, -3),), 1) for level in f.tower.levels)
+    report = verify_solution(f, coeffs, records)
+    assert report.passed
+    assert report.factorization_exact is True
+    assert len({r.label for r in records}) == 4
+
+
 def test_quartic_split_rejects_biquadratic():
     f = TowerField()
     with pytest.raises(BiquadraticQuartic):

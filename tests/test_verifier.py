@@ -1,6 +1,7 @@
 """Verification machinery: Horner, expansion, the numeric oracle, reports."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -187,6 +188,26 @@ def test_verify_quartic_exact():
     report = verify_solution(f, coeffs, records)
     assert report.passed
     assert report.factorization_exact is True
+
+
+def test_verify_exact_wrong_root_falls_back_to_horner(monkeypatch):
+    import radica.verifier as verifier
+
+    f = TowerField()
+    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
+    records = solve_quartic(f, *coeffs)
+    wrong = f.add(records[2].exact, f.from_rational(Fraction(1, 10)))
+    records[2] = dataclasses.replace(records[2], exact=wrong)
+    seen = []
+    real = verifier.horner_eval
+    monkeypatch.setattr(verifier, "horner_eval", lambda *a: seen.append(a) or real(*a))
+    report = verify_solution(f, coeffs, records)
+    assert report.factorization_exact is False
+    assert report.residuals_ok is False
+    assert report.residuals[2] > 0.0
+    assert report.residuals[:2] + report.residuals[3:] == [0.0, 0.0, 0.0]
+    assert not report.passed
+    assert len(seen) == 4
 
 
 def test_verify_flags_oracle_non_convergence(monkeypatch):
