@@ -68,7 +68,7 @@ class OmegaPow(RadicalExpr):
 
 
 def lit(q):
-    return Lit(Fraction(q))
+    return Lit(q if q.__class__ is Fraction else Fraction(q))
 
 
 def _lit_value(e):

@@ -113,7 +113,7 @@ def check_quadratic_suite(rng, n):
 
 def check_quartic_split_identity(rng, n):
     """n depressed quartics with c^2 + 12e != 0: the quadratic split expands
-    exactly and the roots substitute to zero."""
+    exactly and every root has residual 0."""
     ok = True
     produced = 0
     while produced < n:

@@ -4,8 +4,11 @@ The depressed-cubic route follows Cardano with one essential correction:
 only a single cube root s is ever taken, and the companion value is
 computed as t = c/(3s).  Taking two independent cube roots is unsound for
 an arbitrary root provider because nothing forces 3st = c (the verifier
-module carries a demonstration).  The quartic is split into two quadratics
-whose parameters come from a root of the resolvent cubic.
+module carries a demonstration).  As in the paper, the three roots come
+from that one s: the radicands and s are computed once per cubic, and each
+branch only multiplies s by a power of omega and forms s - c/(3s).  The
+quartic is split into two quadratics whose parameters come from a root of
+the resolvent cubic.
 
 Each formula is one function over the field contract: ``depress_cubic``,
 ``cardano_root``, ``depress_quartic``, ``resolvent_coeffs`` and
@@ -240,18 +243,17 @@ def _omega_times(f, k, x):
     return x
 
 
-def cardano_root(f, c, d, branch=0):
-    """One root of u**3 + c*u + d for c != 0.
+def _cardano_base(f, c, d):
+    """(root, swapped): the branch-invariant part of Cardano for
+    u**3 + c*u + d, c != 0.
 
-    ``branch`` selects the cube root used for s: 0 for the provider's own,
-    1 and 2 for the omega- and omega**2-multiplied ones.  s is never zero
-    (s**3 = 0 would force c = 0), and the returned u = s - c/(3s) satisfies
-    the equation exactly in the exact backend.
+    ``root`` is the provider's cube root of the larger of the radicands
+    -d/2 + r and d/2 + r, r = sqrt(d**2/4 + c**3/27); ``swapped`` says it
+    is the second one, so it plays t rather than s.
     """
     if f.is_zero(c):
         raise ZeroLinearTerm("c = 0: Cardano's formula needs c != 0")
-    two, three = f.from_rational(2), f.from_rational(3)
-    half_d = f.div(d, two)
+    half_d = f.div(d, f.from_rational(2))
     inner = f.add(
         f.div(f.mul(d, d), f.from_rational(4)),
         f.div(f.mul(f.mul(c, c), c), f.from_rational(27)),
@@ -265,21 +267,42 @@ def cardano_root(f, c, d, branch=0):
     # of near-equal quantities).  The companion value is always computed by
     # division, never as an independent cube root.
     if abs(f.to_complex(t_radicand)) > abs(f.to_complex(s_radicand)):
-        t = _omega_times(f, branch, f.cbrt(t_radicand))
-        return f.sub(f.div(c, f.mul(three, t)), t)
-    s = _omega_times(f, branch, f.cbrt(s_radicand))
-    return f.sub(s, f.div(c, f.mul(three, s)))
+        return f.cbrt(t_radicand), True
+    return f.cbrt(s_radicand), False
+
+
+def _cardano_branch(f, c, base, branch):
+    """The root of ``branch`` from ``_cardano_base``'s (root, swapped):
+    with t = omega**branch * root, t - c/(3t), or c/(3t) - t when swapped."""
+    root, swapped = base
+    t = _omega_times(f, branch, root)
+    companion = f.div(c, f.mul(f.from_rational(3), t))
+    return f.sub(companion, t) if swapped else f.sub(t, companion)
+
+
+def cardano_root(f, c, d, branch=0):
+    """One root of u**3 + c*u + d for c != 0.
+
+    ``branch`` selects the cube root used for s: 0 for the provider's own,
+    1 and 2 for the omega- and omega**2-multiplied ones.  s is never zero
+    (s**3 = 0 would force c = 0), and the returned u = s - c/(3s) satisfies
+    the equation exactly in the exact backend.  This builds the
+    branch-invariant base for one branch; ``_cubic_depressed_roots`` builds
+    it once for all three.
+    """
+    return _cardano_branch(f, c, _cardano_base(f, c, d), branch)
 
 
 def _cubic_depressed_roots(f, c, d, strict=False):
     """Labeled roots of u**3 + c*u + d, with repetition when they coincide.
 
     Case split: c = 0 gives the three cube roots of -d; d = 0 gives 0 and
-    +-sqrt(-c); otherwise the three Cardano branches.  ``strict`` skips
-    the split and takes Cardano, which then requires c != 0.  The roots
-    are yielded lazily, in that order: a caller that stops after the first
-    one never takes omega, so sqrt(-3) is adjoined only when a later root
-    is asked for.
+    +-sqrt(-c); otherwise the three Cardano branches, which share one base
+    (one square root and one cube root) built before the first is yielded.
+    ``strict`` skips the split and takes Cardano, which then requires
+    c != 0.  The roots are yielded lazily, in that order: a caller that
+    stops after the first one never takes omega, so sqrt(-3) is adjoined
+    only when a later root is asked for.
     """
     if not strict and f.is_zero(c):
         base = f.cbrt(f.neg(d))
@@ -294,8 +317,9 @@ def _cubic_depressed_roots(f, c, d, strict=False):
         yield "sqrt-plus", root
         yield "sqrt-minus", f.neg(root)
     else:
+        base = _cardano_base(f, c, d)
         for branch, name in enumerate("ABC"):
-            yield f"cardano-{name}", cardano_root(f, c, d, branch)
+            yield f"cardano-{name}", _cardano_branch(f, c, base, branch)
 
 
 def solve_cubic(field, a, b, c, d, strict=False):

@@ -123,6 +123,8 @@ def _root_scale(den, deg):
     deg-th power."""
     scale = 1
     for p in range(2, 100):
+        if den == 1:
+            break
         e = 0
         while den % p == 0:
             den //= p

@@ -2,10 +2,11 @@
 
 Residuals by Horner substitution, coefficient recovery from roots,
 a Durand-Kerner simultaneous-iteration oracle, multiset matching of
-root sets, and assembly of a per-solve verification report.  In the
-report the exact residuals come from the factorization identity (when the
-roots expand to the monic input, each root is exact); Horner runs only
-when the identity fails.  Also hosts the negative demonstration: the
+root sets, and assembly of a per-solve verification report.  Exact
+residuals, in the report and from ``residuals`` alike (so with or without
+``--verify`` on the CLI), come from the factorization identity first: when
+the roots expand to the monic input, each root is exact, and Horner runs
+only when the identity fails.  Also hosts the negative demonstration: the
 uncorrected two-cube-roots formula fails under a valid but adversarial
 cube-root provider, while the corrected t = c/(3s) form never does.
 """
@@ -144,16 +145,50 @@ def residuals(field, coeffs, records):
     """|p(root)| for each record, and whether every one is acceptable.
 
     ``coeffs`` are leading-first backend elements.  A record with an exact
-    value is substituted exactly and must give literally zero; otherwise
-    its approximation is substituted in complex doubles and must stay
-    within 1e-6 times the largest coefficient magnitude (at least 1).
+    value must give literally zero; otherwise its approximation is
+    substituted in complex doubles and must stay within 1e-6 times the
+    largest coefficient magnitude (at least 1).  Exact records are proved
+    by the factorization identity first and substituted by Horner only
+    when it fails (see ``_vieta_first``).
     """
-    return _residuals(field, coeffs, records, None)
+    values, ok, _ = _vieta_first(field, coeffs, records, None)
+    return values, ok
+
+
+def _vieta_first(field, coeffs, records, numeric):
+    """(values, ok, factorization_exact): the residuals, proved by Vieta
+    where possible.
+
+    When the field is exact and every one of the degree-many records is
+    exact, the roots are expanded and compared with the monic input;
+    ``factorization_exact`` says whether they agree, and is None otherwise.
+    If they agree, p(r_i) = a*prod(r_i - r_j) = 0 is a ring identity (on
+    a reducible tower too, as a ring homomorphism preserves it), so every
+    residual is exactly 0 and no root is substituted.  Else the residuals
+    come from Horner, ``_residuals``; the normal form is unique, so both
+    routes give the same values.
+    """
+    factorization_exact = None
+    if (
+        field.is_exact
+        and len(records) == len(coeffs) - 1
+        and all(rec.exact is not None for rec in records)
+    ):
+        ainv = field.inverse(coeffs[0])
+        monic = [field.mul(c, ainv) for c in coeffs]
+        expanded = expand_monic_from_roots(field, [rec.exact for rec in records])
+        factorization_exact = all(
+            field.is_zero(field.sub(x, y)) for x, y in zip(expanded, monic)
+        )
+        if factorization_exact:
+            return [0.0] * len(records), True, True
+    values, ok = _residuals(field, coeffs, records, numeric)
+    return values, ok, factorization_exact
 
 
 def _residuals(field, coeffs, records, numeric):
-    """``residuals`` with the complex embedding of ``coeffs`` given, or None
-    to embed them on first need."""
+    """Horner residuals, with the complex embedding of ``coeffs`` given, or
+    None to embed them on first need."""
     values = []
     ok = True
     tol = None
@@ -201,13 +236,13 @@ def verify_solution(field, coeffs, records):
     ``ORACLE_MATCH_TOL``.  Oracle non-convergence is flagged in the notes,
     not failed.
 
-    On the exact backend, with every record exact, the factorization runs
-    first: when the expansion equals the monic input, p(r_i) =
-    a*prod(r_i - r_j) = 0 is a ring identity, so every residual is exactly
-    0 and no root is substituted.  Otherwise the residuals come from
-    ``residuals``: exact Horner where records carry exact values, numeric
-    elsewhere (|p(root)| <= 1e-6 * scale).  The normal form is unique, so
-    both routes give the same report.
+    The residuals and the exact factorization come from one route, the
+    one ``residuals`` (and so the CLI without ``--verify``) takes: on the
+    exact backend, with every record exact, the roots expanding to the
+    monic input prove every residual exactly 0 and no root is substituted;
+    otherwise Horner gives them, exactly where records carry exact values
+    and numerically elsewhere (|p(root)| <= 1e-6 * scale).  Inexact records
+    have their factorization checked on the complex embedding instead.
     """
     degree = len(coeffs) - 1
     if degree < 1 or degree > 4:
@@ -216,28 +251,18 @@ def verify_solution(field, coeffs, records):
         raise ValueError("record count must equal the degree")
     notes = []
     numeric = [field.to_complex(c) for c in coeffs]
-    scale = _scale(numeric)
 
-    if field.is_exact and all(rec.exact is not None for rec in records):
-        ainv = field.inverse(coeffs[0])
-        monic = [field.mul(c, ainv) for c in coeffs]
-        expanded = expand_monic_from_roots(field, [rec.exact for rec in records])
-        factorization_exact = all(
-            field.is_zero(field.sub(x, y)) for x, y in zip(expanded, monic)
-        )
-        factorization_ok = factorization_exact
-    else:
+    values, residuals_ok, factorization_exact = _vieta_first(field, coeffs, records, numeric)
+    if factorization_exact is None:
+        scale = _scale(numeric)
         lead = numeric[0]
         monic_num = [z / lead for z in numeric]
         expanded = expand_monic_from_roots(ComplexField(), [rec.approx for rec in records])
-        factorization_exact = None
         factorization_ok = (
             max(abs(x - y) for x, y in zip(expanded, monic_num)) <= FLOAT_RESIDUAL_TOL * scale
         )
-    if factorization_exact:
-        values, residuals_ok = [0.0] * degree, True
     else:
-        values, residuals_ok = _residuals(field, coeffs, records, numeric)
+        factorization_ok = factorization_exact
 
     oracle_match = None
     try:

@@ -212,17 +212,18 @@ def test_solve_leading_minus_polynomial_roots(capsys):
     assert [r["approx"] for r in payload["roots"]] == [{"re": 0.0, "im": 0.0}] * 3
 
 
-@pytest.mark.parametrize("flags, calls", [([], 3), (["--verify"], 0)])
-def test_exact_horner_runs_only_without_verify(capsys, monkeypatch, flags, calls):
-    """Without ``--verify`` the CLI substitutes each exact root once; with it,
-    the factorization identity proves every root exact and Horner never runs."""
+@pytest.mark.parametrize("flags", [[], ["--verify"]])
+def test_exact_horner_runs_only_when_factorization_fails(capsys, monkeypatch, flags):
+    """With or without ``--verify``, the factorization identity proves every
+    exact root, so Horner never runs on correct roots."""
     import radica.verifier as verifier
 
     seen = []
     real = verifier.horner_eval
     monkeypatch.setattr(verifier, "horner_eval", lambda *a: seen.append(a) or real(*a))
     assert run(["solve", "x^3 - 6*x - 9", *flags]) == 0
-    assert len(seen) == calls
+    assert "[residual 0]" in capsys.readouterr().out
+    assert seen == []
 
 
 def test_reducible_extension_is_a_backend_failure(capsys, monkeypatch):

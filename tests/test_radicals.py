@@ -29,6 +29,13 @@ def test_literal_constructor_picks_node_kind():
     assert lit(Fraction(1, 2)) == Lit(Fraction(1, 2))
 
 
+def test_literals_hold_fractions():
+    for q, text in ((3, "3"), (Fraction(3, 4), "3/4"), (-0, "0")):
+        node = lit(q)
+        assert type(node.value) is Fraction
+        assert render(node) == text
+
+
 def test_literal_folding():
     assert radd(lit(Fraction(9, 2)), lit(Fraction(7, 2))) == Lit(8)
     assert rmul(lit(3), lit(Fraction(1, 3))) == Lit(1)

@@ -27,8 +27,9 @@ from radica import (
     verify_solution,
 )
 from radica.complexfield import csqrt_principal
-from radica.radicals import evaluate
+from radica.radicals import evaluate, render
 from radica.selftest import rand_fraction
+from radica.solvers import _cubic_depressed_roots, _Traced
 
 
 def _multiset(records, digits=9):
@@ -187,6 +188,36 @@ def test_cardano_substitution_zero_random(rng):
         for branch in range(3):
             u = cardano_root(f, c, d, branch)
             assert f.is_zero(horner_eval(f, coeffs, u))
+
+
+@pytest.mark.parametrize("c, d", [(-6, -9), (-3, -2), (1, 1)])
+def test_shared_cardano_base_matches_one_branch_entry(c, d):
+    """The three branches built from one base are ``cardano_root``'s roots,
+    as normal forms and as rendered trees."""
+    f = TowerField()
+    fc, fd = f.from_rational(c), f.from_rational(d)
+    shared = [u for _, u in _cubic_depressed_roots(f, fc, fd)]
+    assert shared == [cardano_root(f, fc, fd, k) for k in range(3)]
+    t = _Traced(TowerField())
+    tc, td = t.from_rational(c), t.from_rational(d)
+    shared = [render(u.expr) for _, u in _cubic_depressed_roots(t, tc, td)]
+    assert shared == [render(cardano_root(t, tc, td, k).expr) for k in range(3)]
+
+
+def test_exact_cubic_takes_one_cube_root(monkeypatch):
+    calls = {"sqrt": 0, "cbrt": 0}
+    for op in calls:
+        real = getattr(TowerField, op)
+
+        def counted(self, x, op=op, real=real):
+            calls[op] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(TowerField, op, counted)
+    f = TowerField()
+    solve_cubic(f, *(f.from_rational(q) for q in (1, 0, -6, -9)))
+    # sqrt of the Cardano inner term, and sqrt(-3) for omega
+    assert calls == {"sqrt": 2, "cbrt": 1}
 
 
 # -- total cubic solvers ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact backend: adjunction, arithmetic, inversion."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from radica import (
     TowerMismatchError,
 )
 from radica.selftest import rand_fraction
+from radica.tower import _root_scale
 
 
 # -- adjunction ---------------------------------------------------------------
@@ -277,6 +279,19 @@ def _random_element(rng, f, depth):
         g = f.sqrt(radicand) if rng.random() < 0.5 else f.cbrt(radicand)
         value = f.add(value, f.mul(f.from_rational(rand_fraction(rng, 50)), g))
     return value
+
+
+def test_root_scale_is_least_for_smooth_denominators():
+    for den in range(1, 2001):
+        smooth = den
+        for p in range(2, 100):
+            while smooth % p == 0:
+                smooth //= p
+        for deg in (2, 3):
+            c = _root_scale(den, deg)
+            assert c**deg % den == 0
+            if smooth == 1:
+                assert c == next(k for k in itertools.count(1) if k**deg % den == 0)
 
 
 def test_field_axioms_on_random_towers(rng):

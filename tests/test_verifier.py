@@ -16,6 +16,7 @@ from radica import (
     negative_exhibit_two_cbrts,
     omega_twisting_cbrt,
     real_preferring_cbrt,
+    residuals,
     solve_cubic,
     solve_quadratic,
     solve_quartic,
@@ -207,6 +208,24 @@ def test_verify_exact_wrong_root_falls_back_to_horner(monkeypatch):
     assert report.residuals[2] > 0.0
     assert report.residuals[:2] + report.residuals[3:] == [0.0, 0.0, 0.0]
     assert not report.passed
+    assert len(seen) == 4
+
+
+def test_residuals_exact_wrong_root_falls_back_to_horner(monkeypatch):
+    import radica.verifier as verifier
+
+    f = TowerField()
+    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
+    records = solve_quartic(f, *coeffs)
+    wrong = f.add(records[2].exact, f.from_rational(Fraction(1, 10)))
+    records[2] = dataclasses.replace(records[2], exact=wrong)
+    seen = []
+    real = verifier.horner_eval
+    monkeypatch.setattr(verifier, "horner_eval", lambda *a: seen.append(a) or real(*a))
+    values, ok = residuals(f, coeffs, records)
+    assert ok is False
+    assert values[2] > 0.0
+    assert values[:2] + values[3:] == [0.0, 0.0, 0.0]
     assert len(seen) == 4
 
 
