@@ -72,7 +72,7 @@ def lit(q):
 
 
 def _lit_value(e):
-    return e.value if isinstance(e, Lit) else None
+    return e.value if e.__class__ is Lit else None
 
 
 def radd(a, b):
@@ -147,11 +147,12 @@ _PREC_ATOM = 9
 
 
 def _prec(e):
-    if isinstance(e, (Add, Neg)):
+    cls = e.__class__
+    if cls is Add or cls is Neg:
         return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
+    if cls is Mul or cls is Div:
         return _PREC_MUL
-    if isinstance(e, Lit):
+    if cls is Lit:
         if e.value < 0:
             return _PREC_ADD
         return _PREC_ATOM if e.value.denominator == 1 else _PREC_MUL
@@ -160,42 +161,49 @@ def _prec(e):
 
 def _render(e, ctx, memo):
     """Text of ``e`` in precedence context ``ctx``.  ``memo`` maps id(node)
-    to the node's unparenthesized text: the trees are DAGs (P, p and the
-    Cardano radical recur within one root), and only the parentheses
-    depend on the context."""
-    text = memo.get(id(e))
-    if text is None:
-        if isinstance(e, Lit):
+    to (node, unparenthesized text, precedence): the trees are DAGs (P, p
+    and the Cardano radical recur within one root and across the roots of
+    one solve), and only the parentheses depend on the context."""
+    entry = memo.get(id(e))
+    if entry is None:
+        cls = e.__class__
+        if cls is Lit:
             text = str(e.value)
-        elif isinstance(e, Add):
+        elif cls is Add:
             left = _render(e.left, _PREC_ADD, memo)
-            if isinstance(e.right, Neg):
+            if e.right.__class__ is Neg:
                 text = f"{left} - {_render(e.right.child, _PREC_MUL, memo)}"
             else:
                 text = f"{left} + {_render(e.right, _PREC_MUL, memo)}"
-        elif isinstance(e, Neg):
+        elif cls is Neg:
             text = f"-{_render(e.child, _PREC_MUL + 1, memo)}"
-        elif isinstance(e, Mul):
+        elif cls is Mul:
             text = f"{_render(e.left, _PREC_MUL, memo)}*{_render(e.right, _PREC_MUL + 1, memo)}"
-        elif isinstance(e, Div):
+        elif cls is Div:
             text = f"{_render(e.num, _PREC_MUL + 1, memo)}/{_render(e.den, _PREC_MUL + 1, memo)}"
-        elif isinstance(e, Sqrt):
+        elif cls is Sqrt:
             text = f"sqrt({_render(e.child, 0, memo)})"
-        elif isinstance(e, Cbrt):
+        elif cls is Cbrt:
             text = f"cbrt({_render(e.child, 0, memo)})"
-        elif isinstance(e, OmegaPow):
+        elif cls is OmegaPow:
             text = "omega" if e.power == 1 else f"omega^{e.power}"
         else:
             raise TypeError(f"not a radical expression: {e!r}")
-        memo[id(e)] = text
-    if _prec(e) < ctx:
-        return f"({text})"
-    return text
+        entry = memo[id(e)] = (e, text, _prec(e))
+    if entry[2] < ctx:
+        return f"({entry[1]})"
+    return entry[1]
 
 
-def render(e):
-    """Deterministic text of the expression tree."""
-    return _render(e, 0, {})
+def render(e, memo=None):
+    """Deterministic text of the expression tree.
+
+    ``memo`` is a dict shared by the trees of one solve, so that the
+    subtrees they share render once; None renders with a fresh one.  It
+    holds every node it has rendered, so no id in it can be reused by a
+    new node while it lives.
+    """
+    return _render(e, 0, {} if memo is None else memo)
 
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)

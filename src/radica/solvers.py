@@ -27,7 +27,7 @@ tower can miss a zero (see ``FieldCapabilities`` and ROADMAP item 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -59,17 +59,24 @@ class StrictHypothesisViolation(SolverError):
 @dataclass(frozen=True)
 class RootRecord:
     """One solved root: formula branch label, exact tower value when the
-    backend is exact, numeric approximation, and a displayable radical tree."""
+    backend is exact, numeric approximation, and a displayable radical tree.
+
+    ``memo`` is the render memo that the records of one solve share (see
+    ``radicals.render``), or None.
+    """
 
     label: str
     exact: Optional[Any]
     approx: complex
     radical: RadicalExpr
+    memo: Optional[dict] = dc_field(default=None, compare=False, repr=False)
 
 
 def render_radical(record):
-    """Deterministic text of the record's radical expression tree."""
-    return render(record.radical)
+    """Deterministic text of the record's radical expression tree, rendered
+    through the memo of its solve, so a subtree the solve's roots share
+    renders once."""
+    return render(record.radical, record.memo)
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +84,12 @@ def render_radical(record):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _TV:
-    value: Any
-    expr: RadicalExpr
+    __slots__ = ("value", "expr")
+
+    def __init__(self, value, expr):
+        self.value = value
+        self.expr = expr
 
 
 class _Traced(FieldCapabilities):
@@ -152,12 +161,13 @@ class _Traced(FieldCapabilities):
         return self._omega
 
 
-def _record(field, label, tv):
+def _record(field, label, tv, memo=None):
     return RootRecord(
         label=label,
         exact=tv.value if field.is_exact else None,
         approx=field.to_complex(tv.value),
         radical=tv.expr,
+        memo=memo,
     )
 
 
@@ -169,7 +179,8 @@ def _monic(field, a, *rest):
 
 
 def _shifted_records(field, t, roots, shift):
-    return [_record(field, label, t.sub(tv, shift)) for label, tv in roots]
+    memo = {}
+    return [_record(field, label, t.sub(tv, shift), memo) for label, tv in roots]
 
 
 # ---------------------------------------------------------------------------

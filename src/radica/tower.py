@@ -15,8 +15,11 @@ so multiplying two monomials adds their keys without carry and appending a
 level leaves every key unchanged.  Multiplication is the integer product of
 the nonzero terms with one reduction pass that applies each level's rule
 h_k**d_k -> rule, through a per-tower table of reduced monomials; inversion
-multiplies by the adjugate over the level below.  ``debug_str`` and
-``to_complex`` are defined in the original g basis.
+multiplies by the adjugate over the level below; a product with a rational
+operand only scales the other's terms.  ``debug_str`` and ``to_complex`` are
+defined in the original g basis; ``to_complex`` evaluates from the highest
+level an element uses, which gives the bits of an evaluation over the whole
+tower as long as every level embeds as a finite number.
 
 A tower is the level chain of one solve session.  ``Tower.adjoin`` appends
 a level in place; since appending leaves every key unchanged, elements
@@ -117,12 +120,17 @@ def _combine(x, y, sy=1, sx=1):
     return {k: v for k, v in out.items() if v}
 
 
+#: the primes below 100: once a prime's factors are out of den, none of its
+#: multiples divides what is left
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % q for q in range(2, p)))
+
+
 def _root_scale(den, deg):
-    """A positive c with den dividing c**deg, by trial division below 100:
-    the least such c when what the division leaves of den is a perfect
-    deg-th power."""
+    """A positive c with den dividing c**deg, by trial division by the primes
+    below 100: the least such c when what the division leaves of den is a
+    perfect deg-th power."""
     scale = 1
-    for p in range(2, 100):
+    for p in _SMALL_PRIMES:
         if den == 1:
             break
         e = 0
@@ -243,14 +251,16 @@ def _g_numerators(levels, terms):
 
 def _embed(levels, bases, depth, coeffs):
     """Nested per-level Horner of the g-basis float ``coeffs`` over
-    ``levels[:depth]``.
+    ``levels[:depth]``, from the highest level a key uses (the levels above
+    it leave the bits unchanged; see ``TowerElement.to_complex``).
 
-    Every level runs its full Horner loop, zero coefficients included, in
+    A used level runs its full Horner loop, zero coefficients included, in
     the same order as a dense evaluation, so signed zeros come out the same;
     an all-zero subtree is skipped, since its dense value is exactly 0j.
     """
     if not coeffs:
         return 0j
+    depth = bisect_right(bases, max(coeffs), 0, depth)
     if depth == 0:
         return complex(coeffs[0])
     depth -= 1
@@ -450,7 +460,15 @@ class TowerElement:
         if pair is None:
             return NotImplemented
         tower, y = pair
-        return _normal(tower, tower._kernel.mul(self.terms, y.terms), self.den * y.den)
+        x, den = self, self.den * y.den
+        if len(x.terms) == 1 and 0 in x.terms:
+            x, y = y, x
+        if len(y.terms) == 1 and 0 in y.terms:
+            # a nonzero rational scales the terms; the kernel's product is
+            # the same, term by term
+            n = y.terms[0]
+            return _normal(tower, {k: v * n for k, v in x.terms.items()}, den)
+        return _normal(tower, tower._kernel.mul(x.terms, y.terms), den)
 
     __rmul__ = __mul__
 
@@ -484,9 +502,11 @@ class TowerElement:
         """Evaluate the g-basis coefficients at the generators' embeddings.
 
         ``n / den`` is the correctly rounded value of the coefficient, the
-        same float as that of its ``Fraction``.  The evaluation runs over
-        every level of the tower, also those adjoined after the element was
-        built, with the same bits: ``_embed`` never returns a -0.0
+        same float as that of its ``Fraction``, so a rational embeds as
+        ``complex(n / den)``.  The evaluation starts at the highest level the
+        element uses.  It has the bits of one over every level of the tower,
+        also those adjoined after the element was built, as long as every
+        level embeds as a finite number: ``_embed`` never returns a -0.0
         component, so a level the element does not use contributes
         (+0, +0)*g + v = v.
         """
@@ -540,6 +560,9 @@ class TowerField(FieldCapabilities):
 
     def add(self, x, y):
         return x + y
+
+    def sub(self, x, y):
+        return x - y
 
     def neg(self, x):
         return -x

@@ -6,9 +6,11 @@ root sets, and assembly of a per-solve verification report.  Exact
 residuals, in the report and from ``residuals`` alike (so with or without
 ``--verify`` on the CLI), come from the factorization identity first: when
 the roots expand to the monic input, each root is exact, and Horner runs
-only when the identity fails.  Also hosts the negative demonstration: the
-uncorrected two-cube-roots formula fails under a valid but adversarial
-cube-root provider, while the corrected t = c/(3s) form never does.
+only when the identity fails.  On rational input the expansion is compared
+with the input's coefficients in Q, so the monic input is never built in
+the tower.  Also hosts the negative demonstration: the uncorrected
+two-cube-roots formula fails under a valid but adversarial cube-root
+provider, while the corrected t = c/(3s) form never does.
 """
 
 from __future__ import annotations
@@ -113,9 +115,12 @@ class MatchResult:
 def match_root_multisets(a, b, tol):
     """Best permutation matching of two equal-length root lists (length <= 4).
 
-    Exhaustive search over all permutations; pairs compare via the
-    scale-relative ``approx_eq`` at ``tol``.  The reported distance is the
-    largest absolute pair distance under the best permutation.
+    Exhaustive search over all permutations for the least largest relative
+    pair distance; the n*n relative distances are computed once and each
+    permutation looks its pairs up.  Pairs compare via the scale-relative
+    ``approx_eq`` at ``tol``.  The reported distance is the
+    largest absolute pair distance under the best permutation, the first
+    one found on a tie.
     """
     if len(a) != len(b):
         raise ValueError("root lists must have equal length")
@@ -123,12 +128,11 @@ def match_root_multisets(a, b, tol):
         raise ValueError("at most four roots supported")
     if not a:
         return MatchResult(True, (), 0.0)
+    dist = [[abs(x - y) / max(1.0, abs(x), abs(y)) for y in b] for x in a]
     best_perm = None
     best_rel = math.inf
     for perm in itertools.permutations(range(len(b))):
-        rel = max(
-            abs(x - b[p]) / max(1.0, abs(x), abs(b[p])) for x, p in zip(a, perm)
-        )
+        rel = max(row[p] for row, p in zip(dist, perm))
         if rel < best_rel:
             best_rel = rel
             best_perm = perm
@@ -162,11 +166,16 @@ def _vieta_first(field, coeffs, records, numeric):
     When the field is exact and every one of the degree-many records is
     exact, the roots are expanded and compared with the monic input;
     ``factorization_exact`` says whether they agree, and is None otherwise.
-    If they agree, p(r_i) = a*prod(r_i - r_j) = 0 is a ring identity (on
-    a reducible tower too, as a ring homomorphism preserves it), so every
-    residual is exactly 0 and no root is substituted.  Else the residuals
-    come from Horner, ``_residuals``; the normal form is unique, so both
-    routes give the same values.
+    When every coefficient is rational, the comparison is in Q: the
+    expansion's rational values against q_i/q_0.  Else it subtracts the
+    monic input in the field.  The normal form is unique, so a coefficient
+    of the expansion that is not rational differs from a rational one, and
+    both comparisons give the same verdict.  If they agree,
+    p(r_i) = a*prod(r_i - r_j) = 0 is a ring identity (on a reducible tower
+    too, as a ring homomorphism preserves it), so every residual is exactly
+    0 and no root is substituted.  Else the residuals come from Horner,
+    ``_residuals``; the normal form is unique, so both routes give the same
+    values.
     """
     factorization_exact = None
     if (
@@ -174,12 +183,19 @@ def _vieta_first(field, coeffs, records, numeric):
         and len(records) == len(coeffs) - 1
         and all(rec.exact is not None for rec in records)
     ):
-        ainv = field.inverse(coeffs[0])
-        monic = [field.mul(c, ainv) for c in coeffs]
         expanded = expand_monic_from_roots(field, [rec.exact for rec in records])
-        factorization_exact = all(
-            field.is_zero(field.sub(x, y)) for x, y in zip(expanded, monic)
-        )
+        rational = [field.as_rational(c) for c in coeffs]
+        if None in rational:
+            ainv = field.inverse(coeffs[0])
+            monic = [field.mul(c, ainv) for c in coeffs]
+            factorization_exact = all(
+                field.is_zero(field.sub(x, y)) for x, y in zip(expanded, monic)
+            )
+        else:
+            lead = rational[0]
+            factorization_exact = all(
+                field.as_rational(x) == q / lead for x, q in zip(expanded, rational)
+            )
         if factorization_exact:
             return [0.0] * len(records), True, True
     values, ok = _residuals(field, coeffs, records, numeric)

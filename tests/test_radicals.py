@@ -1,7 +1,10 @@
 """Radical expression trees: folding, rendering, evaluation."""
 
+import dataclasses
+import gc
 from fractions import Fraction
 
+from radica import TowerField, render_radical, solve_cubic, solve_quartic
 from radica.radicals import (
     Add,
     Cbrt,
@@ -10,6 +13,7 @@ from radica.radicals import (
     Mul,
     Neg,
     OmegaPow,
+    RadicalExpr,
     Sqrt,
     evaluate,
     lit,
@@ -86,6 +90,54 @@ def test_render_shared_node_keeps_per_context_parens():
     shared = render(tree(lambda: node))
     fresh = render(tree(lambda: Add(lit(1), Sqrt(lit(2)))))
     assert shared == fresh == "3*(1 + sqrt(2)) + sqrt(1 + sqrt(2))"
+
+
+def _records(solve, coeffs):
+    f = TowerField()
+    return solve(f, *(f.from_rational(q) for q in coeffs))
+
+
+def _nodes(e, seen=None):
+    """The distinct nodes of a tree, by identity."""
+    seen = {} if seen is None else seen
+    if id(e) not in seen:
+        seen[id(e)] = e
+        for f in dataclasses.fields(e):
+            child = getattr(e, f.name)
+            if isinstance(child, RadicalExpr):
+                _nodes(child, seen)
+    return seen
+
+
+def test_roots_of_one_solve_share_a_render_memo():
+    for records in (
+        _records(solve_quartic, (3, -1, 5, 2, -7)),
+        _records(solve_quartic, (1, 0, 2, 1, 2)),
+        _records(solve_cubic, (2, 1, -3, 5)),
+    ):
+        memo = records[0].memo
+        assert memo is not None and all(r.memo is memo for r in records)
+        fresh = [render(r.radical) for r in records]
+        # later roots reuse what earlier ones rendered, in either order
+        assert [render_radical(r) for r in reversed(records)] == fresh[::-1]
+        assert [render_radical(r) for r in records] == fresh
+        assert len(memo) < sum(len(_nodes(r.radical)) for r in records)
+
+
+def test_replaced_tree_renders_itself_after_the_original_is_collected():
+    records = _records(solve_quartic, (3, -1, 5, 2, -7))
+    for record in records:
+        render_radical(record)
+    shell = dataclasses.replace(records[0], radical=lit(0))
+    assert shell.memo is records[0].memo
+    del records, record
+    gc.collect()
+    # trees built now may take the addresses the solve's trees had, had the
+    # memo not kept its nodes
+    for coeffs in ((2, 3, -1, 4, 5), (1, -2, 7, 3, -3), (5, 1, 1, -4, 9)):
+        for tree in [r.radical for r in _records(solve_quartic, coeffs)]:
+            record = dataclasses.replace(shell, radical=tree)
+            assert render_radical(record) == render(tree)
 
 
 def test_evaluate_matches_principal_branches():

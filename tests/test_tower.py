@@ -13,7 +13,7 @@ from radica import (
     TowerMismatchError,
 )
 from radica.selftest import rand_fraction
-from radica.tower import _root_scale
+from radica.tower import _g_numerators, _root_scale
 
 
 # -- adjunction ---------------------------------------------------------------
@@ -281,6 +281,16 @@ def _random_element(rng, f, depth):
     return value
 
 
+def test_sub_is_add_of_the_negation(rng):
+    for _ in range(30):
+        f = TowerField()
+        x = _random_element(rng, f, rng.randint(0, 3))
+        y = _random_element(rng, f, rng.randint(0, 3))
+        for a, b in ((x, y), (y, x), (x, x), (x, f.zero), (f.one, y)):
+            got, want = f.sub(a, b), f.add(a, f.neg(b))
+            assert (got.terms, got.den) == (want.terms, want.den)
+
+
 def test_root_scale_is_least_for_smooth_denominators():
     for den in range(1, 2001):
         smooth = den
@@ -413,11 +423,15 @@ def _random_tower(rng, degs):
     return tower, gens, levels
 
 
+#: rational operands of the products checked against the reference
+RATIONAL_FACTORS = (Fraction(-7, 3), Fraction(0), Fraction(5, 4), Fraction(6))
+
+
 def _check_against_reference(tower, gens, levels, x, y):
     """Compare the kernel with the reference on x, y and what they make;
     True when x was inverted."""
     kx, ky = _from_ref(tower, gens, x), _from_ref(tower, gens, y)
-    for ref, got in (
+    cases = [
         (x, kx),
         (y, ky),
         ({k: -v for k, v in x.items()}, -kx),
@@ -425,7 +439,13 @@ def _check_against_reference(tower, gens, levels, x, y):
         (_ref_add(x, y, -1), kx - ky),
         (_ref_mul(levels, x, y), kx * ky),
         (_ref_mul(levels, x, x), kx * kx),
-    ):
+    ]
+    one = (0,) * len(levels)
+    for q in RATIONAL_FACTORS:
+        ref = _ref_mul(levels, {one: q}, x)
+        cases += [(ref, tower.rational(q) * kx), (ref, kx * tower.rational(q))]
+    cases.append((_ref_mul(levels, {one: Fraction(6)}, x), kx * 6))
+    for ref, got in cases:
         assert got.debug_str() == _ref_debug_str(levels, ref)
         want = _ref_embed(tower, ref)
         assert (got.to_complex().real.hex(), got.to_complex().imag.hex()) == (
@@ -444,6 +464,50 @@ def _check_against_reference(tower, gens, levels, x, y):
         except ReducibleExtensionError:
             pass
     return False
+
+
+def _full_depth_embed(levels, bases, depth, coeffs):
+    """The embedding that runs every level's Horner loop, even above an
+    element's highest key: the reference for the bits of ``to_complex``."""
+    if not coeffs:
+        return 0j
+    if depth == 0:
+        return complex(coeffs[0])
+    depth -= 1
+    base = bases[depth]
+    parts = [{} for _ in range(levels[depth].deg)]
+    for key, q in coeffs.items():
+        i, low = divmod(key, base)
+        parts[i][low] = q
+    g = levels[depth].embed
+    acc = 0j
+    for part in reversed(parts):
+        acc = acc * g + _full_depth_embed(levels, bases, depth, part)
+    return acc
+
+
+def _full_depth_to_complex(x):
+    levels = x.tower.levels
+    coeffs = {k: n / x.den for k, n in _g_numerators(levels, x.terms).items()}
+    return _full_depth_embed(levels, x.tower._kernel.bases, len(levels), coeffs)
+
+
+def test_to_complex_matches_full_depth_embedding():
+    rng = random.Random(20261019)
+    low = 0
+    for _ in range(60):
+        degs = [rng.choice((2, 3)) for _ in range(rng.randint(1, 5))]
+        tower, gens, _ = _random_tower(rng, degs)
+        elements = [tower.zero, tower.rational(-rand_fraction(rng, 30, nonzero=True) ** 2)]
+        elements += [tower.rational(rand_fraction(rng, 30)) for _ in range(2)]
+        # one element per number of levels used, the lower ones many times over
+        for depth in range(len(degs) + 1):
+            x = _from_ref(tower, gens, _ref_random(rng, degs, depth, rng.randint(1, 5)))
+            elements += [x, x * x]
+            low += depth < len(degs)
+        for x in elements:
+            assert _bits(x.to_complex()) == _bits(_full_depth_to_complex(x))
+    assert low >= 150
 
 
 def test_kernel_matches_reference_on_random_towers():

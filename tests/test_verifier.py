@@ -1,6 +1,9 @@
 """Verification machinery: Horner, expansion, the numeric oracle, reports."""
 
 import dataclasses
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from radica import (
     solve_quartic,
     verify_solution,
 )
+from radica.complexfield import approx_eq
 from radica.selftest import rand_fraction
 
 
@@ -149,6 +153,47 @@ def test_match_clustered_roots_within_relative_tolerance():
     assert result.matched
 
 
+def _reference_match(a, b, tol):
+    """The matcher that computes each pair's distance inside every
+    permutation, as the reference for the one that computes them once."""
+    best_perm = None
+    best_rel = math.inf
+    for perm in itertools.permutations(range(len(b))):
+        rel = max(abs(x - b[p]) / max(1.0, abs(x), abs(b[p])) for x, p in zip(a, perm))
+        if rel < best_rel:
+            best_rel = rel
+            best_perm = perm
+    max_dist = max(abs(x - b[p]) for x, p in zip(a, best_perm))
+    matched = all(approx_eq(x, b[p], tol) for x, p in zip(a, best_perm))
+    return best_perm, max_dist, matched
+
+
+def test_match_agrees_with_per_permutation_reference():
+    rng = random.Random(20261018)
+    # repeated values make exact ties between permutations
+    pool = [0j, 1 + 0j, -1 + 0j, 1j, 2 - 1j, 1e-13 + 0j, -1e-13 + 0j]
+
+    def draw():
+        if rng.random() < 0.5:
+            return rng.choice(pool)
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    ties = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        a = [draw() for _ in range(n)]
+        if rng.random() < 0.5:
+            b = [draw() for _ in range(n)]
+        else:
+            b = [x + complex(rng.choice((0.0, 1e-12, 1e-3)), 0.0) for x in a]
+            rng.shuffle(b)
+        tol = rng.choice((1e-9, 1e-6, 0.5))
+        got = match_root_multisets(a, b, tol)
+        assert (got.permutation, got.max_distance, got.matched) == _reference_match(a, b, tol)
+        ties += len(set(a)) < n or len(set(b)) < n
+    assert ties > 300
+
+
 # -- verify_solution ---------------------------------------------------------------
 
 
@@ -209,6 +254,60 @@ def test_verify_exact_wrong_root_falls_back_to_horner(monkeypatch):
     assert report.residuals[:2] + report.residuals[3:] == [0.0, 0.0, 0.0]
     assert not report.passed
     assert len(seen) == 4
+
+
+def _rational_quadratic(f):
+    """2x^2 - 3x - 5 = (2x - 5)(x + 1)."""
+    return [f.from_rational(q) for q in (2, -3, -5)]
+
+
+def _sqrt2_quadratic(f):
+    """x^2 - 2*sqrt(2)*x + 1, whose roots are sqrt(2) + 1 and sqrt(2) - 1."""
+    g = f.sqrt(f.from_rational(2))
+    return [f.one, f.mul(f.from_rational(-2), g), f.one]
+
+
+def _inverses_in_verify(monkeypatch, f, coeffs, records):
+    """The report of ``verify_solution`` and the tower inverses it took."""
+    seen = []
+    real = TowerField.inverse
+    monkeypatch.setattr(TowerField, "inverse", lambda self, x: seen.append(x) or real(self, x))
+    report = verify_solution(f, coeffs, records)
+    monkeypatch.undo()
+    return report, len(seen)
+
+
+@pytest.mark.parametrize(
+    "coefficients, inverses", [(_rational_quadratic, 0), (_sqrt2_quadratic, 1)]
+)
+def test_verify_compares_rational_input_in_q_and_other_input_in_the_tower(
+    monkeypatch, coefficients, inverses
+):
+    f = TowerField()
+    coeffs = coefficients(f)
+    records = solve_quadratic(f, *coeffs)
+    report, taken = _inverses_in_verify(monkeypatch, f, coeffs, records)
+    assert report.factorization_exact is True
+    assert report.residuals == [0.0, 0.0]
+    assert report.passed
+    # the tower route divides by the leading coefficient; the Q route does not
+    assert taken == inverses
+
+
+@pytest.mark.parametrize(
+    "coefficients, inverses", [(_rational_quadratic, 0), (_sqrt2_quadratic, 1)]
+)
+def test_verify_root_shifted_by_a_tenth_fails_on_both_routes(monkeypatch, coefficients, inverses):
+    f = TowerField()
+    coeffs = coefficients(f)
+    records = solve_quadratic(f, *coeffs)
+    wrong = f.add(records[0].exact, f.from_rational(Fraction(1, 10)))
+    records[0] = dataclasses.replace(records[0], exact=wrong)
+    report, taken = _inverses_in_verify(monkeypatch, f, coeffs, records)
+    assert report.factorization_exact is False
+    assert report.residuals[0] > 0.0 and report.residuals[1] == 0.0
+    assert not report.residuals_ok and not report.passed
+    assert taken == inverses
 
 
 def test_residuals_exact_wrong_root_falls_back_to_horner(monkeypatch):
