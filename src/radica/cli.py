@@ -73,11 +73,6 @@ class _Scanner:
             return self.text[self.pos]
         return ""
 
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
     def scan_digits(self):
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdecimal():
@@ -299,7 +294,7 @@ def _cmd_solve(args):
     try:
         if use_complex:
             coeffs = [complex(float(c)) for c in dense]
-            field = ComplexField(scale=max(1.0, max(abs(z) for z in coeffs)))
+            field = ComplexField(scale=max(abs(z) for z in coeffs))
         else:
             field = TowerField()
             coeffs = [field.from_rational(Fraction(c)) for c in dense]

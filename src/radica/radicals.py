@@ -4,9 +4,9 @@ Node kinds: rational literal, add, neg, mul, div, sqrt, cbrt,
 omega-power.  The smart constructors fold arithmetic on literals (so a
 tree shows `9/2 + sqrt(49/4)` rather than the unevaluated rational
 plumbing) and products of omega powers, but keep root nodes symbolic.
-Rendering is deterministic and parenthesized-unambiguously; evaluating a
-tree over complex doubles with principal branches reproduces the root's
-numeric approximation.
+Rendering is deterministic and parenthesized-unambiguously, and a node
+keeps its own text once rendered; evaluating a tree over complex doubles
+with principal branches reproduces the root's numeric approximation.
 """
 
 from __future__ import annotations
@@ -127,18 +127,6 @@ def rdiv(a, b):
     return Div(a, b)
 
 
-def rsqrt(a):
-    return Sqrt(a)
-
-
-def rcbrt(a, folded=None):
-    """Cube-root node; ``folded`` carries the provider's rational result when
-    its branch differs from the principal one (negative perfect cubes)."""
-    if folded is not None:
-        return lit(folded)
-    return Cbrt(a)
-
-
 # -- rendering ---------------------------------------------------------------
 
 _PREC_ADD = 1
@@ -159,51 +147,48 @@ def _prec(e):
     return _PREC_ATOM
 
 
-def _render(e, ctx, memo):
-    """Text of ``e`` in precedence context ``ctx``.  ``memo`` maps id(node)
-    to (node, unparenthesized text, precedence): the trees are DAGs (P, p
+def _render(e, ctx):
+    """Text of ``e`` in precedence context ``ctx``.  The trees are DAGs (P, p
     and the Cardano radical recur within one root and across the roots of
-    one solve), and only the parentheses depend on the context."""
-    entry = memo.get(id(e))
+    one solve), so a node stores its unparenthesized text and precedence in
+    its instance ``__dict__`` on first render, as ``cached_property`` does;
+    only the parentheses depend on the context, and the fields stay as
+    they are."""
+    entry = e.__dict__.get("_text")
     if entry is None:
         cls = e.__class__
         if cls is Lit:
             text = str(e.value)
         elif cls is Add:
-            left = _render(e.left, _PREC_ADD, memo)
+            left = _render(e.left, _PREC_ADD)
             if e.right.__class__ is Neg:
-                text = f"{left} - {_render(e.right.child, _PREC_MUL, memo)}"
+                text = f"{left} - {_render(e.right.child, _PREC_MUL)}"
             else:
-                text = f"{left} + {_render(e.right, _PREC_MUL, memo)}"
+                text = f"{left} + {_render(e.right, _PREC_MUL)}"
         elif cls is Neg:
-            text = f"-{_render(e.child, _PREC_MUL + 1, memo)}"
+            text = f"-{_render(e.child, _PREC_MUL + 1)}"
         elif cls is Mul:
-            text = f"{_render(e.left, _PREC_MUL, memo)}*{_render(e.right, _PREC_MUL + 1, memo)}"
+            text = f"{_render(e.left, _PREC_MUL)}*{_render(e.right, _PREC_MUL + 1)}"
         elif cls is Div:
-            text = f"{_render(e.num, _PREC_MUL + 1, memo)}/{_render(e.den, _PREC_MUL + 1, memo)}"
+            text = f"{_render(e.num, _PREC_MUL + 1)}/{_render(e.den, _PREC_MUL + 1)}"
         elif cls is Sqrt:
-            text = f"sqrt({_render(e.child, 0, memo)})"
+            text = f"sqrt({_render(e.child, 0)})"
         elif cls is Cbrt:
-            text = f"cbrt({_render(e.child, 0, memo)})"
+            text = f"cbrt({_render(e.child, 0)})"
         elif cls is OmegaPow:
             text = "omega" if e.power == 1 else f"omega^{e.power}"
         else:
             raise TypeError(f"not a radical expression: {e!r}")
-        entry = memo[id(e)] = (e, text, _prec(e))
-    if entry[2] < ctx:
-        return f"({entry[1]})"
-    return entry[1]
+        entry = e.__dict__["_text"] = (text, _prec(e))
+    if entry[1] < ctx:
+        return f"({entry[0]})"
+    return entry[0]
 
 
-def render(e, memo=None):
-    """Deterministic text of the expression tree.
-
-    ``memo`` is a dict shared by the trees of one solve, so that the
-    subtrees they share render once; None renders with a fresh one.  It
-    holds every node it has rendered, so no id in it can be reused by a
-    new node while it lives.
-    """
-    return _render(e, 0, {} if memo is None else memo)
+def render(e):
+    """Deterministic text of the expression tree; a subtree shared within
+    it, or by the trees of one solve, renders once."""
+    return _render(e, 0)
 
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)

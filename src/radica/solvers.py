@@ -19,7 +19,7 @@ returning root records; the solvers run the same formulas over
 ``_Traced``, a backend whose elements pair the wrapped backend's value
 with the radical tree that produced it.  By default the cubic and quartic
 solvers case-split on the backend's ``is_zero`` and cover every
-degenerate input; with ``strict=True`` they demand the formulas'
+degenerate input; with ``strict=True`` they demand the paper's
 nonzeroness hypotheses instead and raise ``StrictHypothesisViolation``.
 The case splits are only as faithful as ``is_zero``, which on a reducible
 tower can miss a zero (see ``FieldCapabilities`` and ROADMAP item 3).
@@ -27,13 +27,13 @@ tower can miss a zero (see ``FieldCapabilities`` and ROADMAP item 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
 from . import radicals
 from .fields import FieldCapabilities
-from .radicals import OmegaPow, RadicalExpr, evaluate, render
+from .radicals import Cbrt, OmegaPow, RadicalExpr, Sqrt, evaluate, render
 
 
 class SolverError(Exception):
@@ -60,23 +60,19 @@ class StrictHypothesisViolation(SolverError):
 class RootRecord:
     """One solved root: formula branch label, exact tower value when the
     backend is exact, numeric approximation, and a displayable radical tree.
-
-    ``memo`` is the render memo that the records of one solve share (see
-    ``radicals.render``), or None.
+    The records of one solve share subtrees, whose nodes keep their own
+    rendered text (see ``radicals.render``).
     """
 
     label: str
     exact: Optional[Any]
     approx: complex
     radical: RadicalExpr
-    memo: Optional[dict] = dc_field(default=None, compare=False, repr=False)
 
 
 def render_radical(record):
-    """Deterministic text of the record's radical expression tree, rendered
-    through the memo of its solve, so a subtree the solve's roots share
-    renders once."""
-    return render(record.radical, record.memo)
+    """Deterministic text of the record's radical expression tree."""
+    return render(record.radical)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +104,7 @@ class _Traced(FieldCapabilities):
         z = self.f.to_complex(x)
         expr = radicals.lit(Fraction(str(z.real)) if z.real else 0)
         if z.imag:
-            unit = radicals.rsqrt(radicals.lit(-1))
+            unit = Sqrt(radicals.lit(-1))
             expr = radicals.radd(
                 expr, radicals.rmul(radicals.lit(Fraction(str(z.imag))), unit)
             )
@@ -143,17 +139,18 @@ class _Traced(FieldCapabilities):
         return _TV(self.f.div(x.value, y.value), radicals.rdiv(x.expr, y.expr))
 
     def sqrt(self, x):
-        return _TV(self.f.sqrt(x.value), radicals.rsqrt(x.expr))
+        return _TV(self.f.sqrt(x.value), Sqrt(x.expr))
 
     def cbrt(self, x):
         value = self.f.cbrt(x.value)
-        folded = None
         q = self.f.as_rational(x.value)
         if q is not None and q < 0:
             # the exact backend takes the real (sign-preserving) cube root of
             # a negative rational, which the principal branch would not match
-            folded = self.f.as_rational(value)
-        return _TV(value, radicals.rcbrt(x.expr, folded))
+            root = self.f.as_rational(value)
+            if root is not None:
+                return _TV(value, radicals.lit(root))
+        return _TV(value, Cbrt(x.expr))
 
     def omega(self):
         if self._omega is None:
@@ -161,13 +158,12 @@ class _Traced(FieldCapabilities):
         return self._omega
 
 
-def _record(field, label, tv, memo=None):
+def _record(field, label, tv):
     return RootRecord(
         label=label,
         exact=tv.value if field.is_exact else None,
         approx=field.to_complex(tv.value),
         radical=tv.expr,
-        memo=memo,
     )
 
 
@@ -179,8 +175,7 @@ def _monic(field, a, *rest):
 
 
 def _shifted_records(field, t, roots, shift):
-    memo = {}
-    return [_record(field, label, t.sub(tv, shift), memo) for label, tv in roots]
+    return [_record(field, label, t.sub(tv, shift)) for label, tv in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +331,20 @@ def _cubic_depressed_roots(f, c, d, strict=False):
 def solve_cubic(field, a, b, c, d, strict=False):
     """All roots of a*x**3 + b*x**2 + c*x + d (a != 0), as three records.
 
-    ``strict`` mirrors the formula's hypotheses exactly: it requires
-    3ac - b**2 != 0 and 2b**3 - 9abc + 27a**2*d != 0 (the depressed c' and
-    d' are nonzero) and always takes the Cardano branches.
+    ``strict`` requires the depressed c' and d' to be nonzero (3ac - b**2
+    != 0 and 2b**3 - 9abc + 27a**2*d != 0) and takes the Cardano branches.
+    c' != 0 is Cardano's own zero test, on the same traced element; d' != 0
+    is demanded in addition.
     """
     nb, nc, nd = _monic(field, a, b, c, d)
-    if strict:
-        n = field.from_rational
-        q1 = field.sub(field.mul(n(3), field.mul(a, c)), field.mul(b, b))
-        if field.is_zero(q1):
-            raise StrictHypothesisViolation("3ac - b^2 = 0")
-        b3 = field.mul(field.mul(b, b), b)
-        q2 = field.add(
-            field.sub(field.mul(n(2), b3), field.mul(n(9), field.mul(a, field.mul(b, c)))),
-            field.mul(n(27), field.mul(field.mul(a, a), d)),
-        )
-        if field.is_zero(q2):
-            raise StrictHypothesisViolation("2b^3 - 9abc + 27a^2*d = 0")
     t = _Traced(field)
     cp, dp, shift = depress_cubic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
-    roots = list(_cubic_depressed_roots(t, cp, dp, strict))
+    if strict:
+        if t.is_zero(cp):
+            raise StrictHypothesisViolation("3ac - b^2 = 0")
+        if t.is_zero(dp):
+            raise StrictHypothesisViolation("2b^3 - 9abc + 27a^2*d = 0")
+    roots = list(_cubic_depressed_roots(t, cp, dp))
     return _shifted_records(field, t, roots, shift)
 
 
@@ -462,7 +451,9 @@ def solve_quartic(field, a, b, c, d, e, strict=False):
 
     ``strict`` requires the depressed coefficients to satisfy d' != 0,
     e' != 0 and c'**2 + 12e' != 0, and solves the resolvent cubic by
-    Cardano's branches alone.
+    Cardano's branches alone.  d' != 0 is the split's own zero test and
+    c'**2 + 12e' != 0 the resolvent Cardano's (its depressed linear
+    coefficient is -(c'**2 + 12e')/3); e' != 0 is demanded in addition.
     """
     nb, nc, nd, ne = _monic(field, a, b, c, d, e)
     t = _Traced(field)
@@ -472,10 +463,10 @@ def solve_quartic(field, a, b, c, d, e, strict=False):
             raise StrictHypothesisViolation("depressed d' = 0 (biquadratic case)")
         if t.is_zero(ep):
             raise StrictHypothesisViolation("depressed e' = 0")
-        cond = t.add(t.mul(cp, cp), t.mul(t.from_rational(12), ep))
-        if t.is_zero(cond):
-            raise StrictHypothesisViolation("c'^2 + 12e' = 0 (resolvent hypothesis)")
-    roots = _quartic_depressed_roots(t, cp, dp, ep, strict)
+    try:
+        roots = _quartic_depressed_roots(t, cp, dp, ep, strict)
+    except ZeroLinearTerm:
+        raise StrictHypothesisViolation("c'^2 + 12e' = 0 (resolvent hypothesis)") from None
     return _shifted_records(field, t, roots, shift)
 
 

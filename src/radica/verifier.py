@@ -108,9 +108,6 @@ class MatchResult:
     permutation: Optional[tuple]
     max_distance: float
 
-    def __bool__(self):
-        return self.matched
-
 
 def match_root_multisets(a, b, tol):
     """Best permutation matching of two equal-length root lists (length <= 4).

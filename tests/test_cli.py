@@ -97,6 +97,17 @@ def test_parse_zero_denominator():
         parse_polynomial("1/0*x")
 
 
+def test_parse_decimal_denominator_and_exponent_offsets():
+    cases = {
+        "1/2.5*x + 1": "denominator must be an integer",
+        "x^2.5 + 1": "exponent must be a nonnegative integer",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as excinfo:
+            parse_polynomial(text)
+        assert (excinfo.value.message, excinfo.value.offset) == (message, 2), text
+
+
 def test_parse_rejects_superscript_exponent():
     # "x²" is not a variable name: the name stops at the superscript
     with pytest.raises(ParseError) as excinfo:
@@ -143,6 +154,22 @@ def test_solve_paper_strict_rejects_documented_cases(capsys):
     assert "3ac - b^2" in capsys.readouterr().err
     # the same input solves in default mode
     assert run(["solve", "x^3 - 8", "--verify"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        # c' is zero at the complex backend's tolerance, 3ac - b^2 is not
+        ("10*x^3 + 0.000000000001*x + 1", "3ac - b^2"),
+        # the resolvent's depressed linear coefficient is zero at that
+        # tolerance, c'^2 + 12e' is not
+        ("x^4 + 3.4641016151365043*x^2 + 1.0*x - 1.0", "12e'"),
+    ],
+)
+def test_solve_paper_strict_rejects_float_inputs_the_formulas_reject(capsys, text, needle):
+    assert run(["solve", "--paper-strict", "--", text]) == 4
+    err = capsys.readouterr().err
+    assert "paper-strict mode rejects this input" in err and needle in err
 
 
 def test_solve_paper_strict_accepts_generic_input():

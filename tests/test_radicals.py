@@ -2,9 +2,11 @@
 
 import dataclasses
 import gc
+from collections import Counter
 from fractions import Fraction
 
-from radica import TowerField, render_radical, solve_cubic, solve_quartic
+from radica import TowerField, render_radical, solve_cubic, solve_quadratic, solve_quartic
+from radica import radicals
 from radica.radicals import (
     Add,
     Cbrt,
@@ -22,7 +24,6 @@ from radica.radicals import (
     render,
     rmul,
     rneg,
-    rsqrt,
     rsub,
 )
 
@@ -65,11 +66,15 @@ def test_omega_powers_fold():
 
 
 def test_roots_stay_symbolic():
-    assert rsqrt(lit(Fraction(49, 4))) == Sqrt(Lit(Fraction(49, 4)))
+    f = TowerField()
+    plus, minus = solve_quadratic(f, f.one, f.zero, f.from_rational(Fraction(-49, 4)))
+    assert render_radical(plus) == "sqrt(49/4)"
+    assert render_radical(minus) == "-sqrt(49/4)"
+    assert f.as_rational(plus.exact) == Fraction(7, 2)
 
 
 def test_render_cardano_shape():
-    s = Cbrt(radd(lit(Fraction(9, 2)), rsqrt(lit(Fraction(49, 4)))))
+    s = Cbrt(radd(lit(Fraction(9, 2)), Sqrt(lit(Fraction(49, 4)))))
     u = rsub(s, rdiv(lit(-6), rmul(lit(3), s)))
     assert render(u) == "cbrt(9/2 + sqrt(49/4)) - (-6)/(3*cbrt(9/2 + sqrt(49/4)))"
 
@@ -109,19 +114,46 @@ def _nodes(e, seen=None):
     return seen
 
 
-def test_roots_of_one_solve_share_a_render_memo():
-    for records in (
-        _records(solve_quartic, (3, -1, 5, 2, -7)),
-        _records(solve_quartic, (1, 0, 2, 1, 2)),
-        _records(solve_cubic, (2, 1, -3, 5)),
+def _rebuilt(e):
+    """An equal tree of new nodes, none shared and none rendered yet."""
+    return type(e)(
+        *(
+            _rebuilt(child) if isinstance(child, RadicalExpr) else child
+            for child in (getattr(e, f.name) for f in dataclasses.fields(e))
+        )
+    )
+
+
+def test_roots_of_one_solve_render_each_shared_node_once(monkeypatch):
+    built = Counter()
+    prec = radicals._prec
+
+    def counting_prec(e):
+        built[id(e)] += 1
+        return prec(e)
+
+    monkeypatch.setattr(radicals, "_prec", counting_prec)
+    for solve, coeffs in (
+        (solve_quartic, (3, -1, 5, 2, -7)),
+        (solve_quartic, (1, 0, 2, 1, 2)),
+        (solve_cubic, (2, 1, -3, 5)),
     ):
-        memo = records[0].memo
-        assert memo is not None and all(r.memo is memo for r in records)
-        fresh = [render(r.radical) for r in records]
-        # later roots reuse what earlier ones rendered, in either order
-        assert [render_radical(r) for r in reversed(records)] == fresh[::-1]
-        assert [render_radical(r) for r in records] == fresh
-        assert len(memo) < sum(len(_nodes(r.radical)) for r in records)
+        for order in (lambda rs: rs, lambda rs: rs[::-1]):
+            records = order(_records(solve, coeffs))
+            built.clear()
+            texts = [render_radical(r) for r in records]
+            nodes = {}
+            for r in records:
+                _nodes(r.radical, nodes)
+            # each distinct node builds its text at most once across all the
+            # roots (a Neg on the right of an Add renders as " - " instead),
+            # so the shared subtrees are built fewer times than the roots use
+            assert set(built.values()) == {1} and built.keys() <= nodes.keys()
+            assert len(built) < sum(len(_nodes(r.radical)) for r in records)
+            built.clear()
+            assert [render_radical(r) for r in records] == texts
+            assert not built
+            assert texts == [render(_rebuilt(r.radical)) for r in records]
 
 
 def test_replaced_tree_renders_itself_after_the_original_is_collected():
@@ -129,21 +161,19 @@ def test_replaced_tree_renders_itself_after_the_original_is_collected():
     for record in records:
         render_radical(record)
     shell = dataclasses.replace(records[0], radical=lit(0))
-    assert shell.memo is records[0].memo
+    assert render_radical(shell) == "0"
     del records, record
     gc.collect()
-    # trees built now may take the addresses the solve's trees had, had the
-    # memo not kept its nodes
     for coeffs in ((2, 3, -1, 4, 5), (1, -2, 7, 3, -3), (5, 1, 1, -4, 9)):
         for tree in [r.radical for r in _records(solve_quartic, coeffs)]:
             record = dataclasses.replace(shell, radical=tree)
-            assert render_radical(record) == render(tree)
+            assert render_radical(record) == render(_rebuilt(tree))
 
 
 def test_evaluate_matches_principal_branches():
     expr = rsub(
-        Cbrt(radd(lit(Fraction(9, 2)), rsqrt(lit(Fraction(49, 4))))),
-        rdiv(lit(-6), rmul(lit(3), Cbrt(radd(lit(Fraction(9, 2)), rsqrt(lit(Fraction(49, 4))))))),
+        Cbrt(radd(lit(Fraction(9, 2)), Sqrt(lit(Fraction(49, 4))))),
+        rdiv(lit(-6), rmul(lit(3), Cbrt(radd(lit(Fraction(9, 2)), Sqrt(lit(Fraction(49, 4))))))),
     )
     assert abs(evaluate(expr) - 3) < 1e-12
 

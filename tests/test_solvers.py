@@ -547,6 +547,22 @@ def test_strict_quartic_rejections():
         )
 
 
+@pytest.mark.parametrize(
+    "solve, coeffs, needle",
+    [
+        (solve_cubic, (10, 0, 1e-12, 1), "3ac - b\\^2"),
+        (solve_quartic, (1, 0, 3.4641016151365043, 1.0, -1.0), "12e'"),
+    ],
+)
+def test_strict_rejects_what_the_formulas_reject_on_the_complex_backend(solve, coeffs, needle):
+    # with the CLI's scale (the largest coefficient magnitude), the cubic's
+    # depressed c' and the quartic resolvent's depressed linear coefficient
+    # -(c'^2 + 12e')/3 test zero, which Cardano would reject
+    f = ComplexField(scale=max(abs(q) for q in coeffs))
+    with pytest.raises(StrictHypothesisViolation, match=needle):
+        solve(f, *(complex(q) for q in coeffs), strict=True)
+
+
 def test_strict_quartic_matches_total_on_generic_input():
     f1, f2 = TowerField(), TowerField()
     a = solve_quartic(f1, *(f1.from_rational(q) for q in (1, 0, 2, 1, 2)), strict=True)
