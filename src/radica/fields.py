@@ -24,7 +24,7 @@ class FieldCapabilities:
     backend: on a tower with a reducible level, such as the cube root of
     -100/27 behind ``x^3 - 7*x + 6``, a nonzero representation can embed as
     0, so that solve prints ``2 + 4.44e-16i`` and never ``(exactly 2)``
-    (ROADMAP item 3).
+    (ROADMAP item 2).
     """
 
     name = "abstract"

@@ -22,7 +22,7 @@ solvers case-split on the backend's ``is_zero`` and cover every
 degenerate input; with ``strict=True`` they demand the paper's
 nonzeroness hypotheses instead and raise ``StrictHypothesisViolation``.
 The case splits are only as faithful as ``is_zero``, which on a reducible
-tower can miss a zero (see ``FieldCapabilities`` and ROADMAP item 3).
+tower can miss a zero (see ``FieldCapabilities`` and ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -251,14 +251,12 @@ def _omega_times(f, k, x):
 
 def _cardano_base(f, c, d):
     """(root, swapped): the branch-invariant part of Cardano for
-    u**3 + c*u + d, c != 0.
+    u**3 + c*u + d; the caller has tested c != 0.
 
     ``root`` is the provider's cube root of the larger of the radicands
     -d/2 + r and d/2 + r, r = sqrt(d**2/4 + c**3/27); ``swapped`` says it
     is the second one, so it plays t rather than s.
     """
-    if f.is_zero(c):
-        raise ZeroLinearTerm("c = 0: Cardano's formula needs c != 0")
     half_d = f.div(d, f.from_rational(2))
     inner = f.add(
         f.div(f.mul(d, d), f.from_rational(4)),
@@ -296,6 +294,8 @@ def cardano_root(f, c, d, branch=0):
     branch-invariant base for one branch; ``_cubic_depressed_roots`` builds
     it once for all three.
     """
+    if f.is_zero(c):
+        raise ZeroLinearTerm("c = 0: Cardano's formula needs c != 0")
     return _cardano_branch(f, c, _cardano_base(f, c, d), branch)
 
 
@@ -305,11 +305,13 @@ def _cubic_depressed_roots(f, c, d, strict=False):
     Case split: c = 0 gives the three cube roots of -d; d = 0 gives 0 and
     +-sqrt(-c); otherwise the three Cardano branches, which share one base
     (one square root and one cube root) built before the first is yielded.
-    ``strict`` skips the split and takes Cardano, which then requires
-    c != 0.  The roots are yielded lazily, in that order: a caller that
-    stops after the first one never takes omega, so sqrt(-3) is adjoined
-    only when a later root is asked for.
+    ``strict`` skips the split and takes Cardano, raising ``ZeroLinearTerm``
+    on c = 0; either way c is tested once.  The roots are yielded lazily, in
+    that order: a caller that stops after the first one never takes omega,
+    so sqrt(-3) is adjoined only when a later root is asked for.
     """
+    if strict and f.is_zero(c):
+        raise ZeroLinearTerm("c = 0: Cardano's formula needs c != 0")
     if not strict and f.is_zero(c):
         base = f.cbrt(f.neg(d))
         yield "cuberoot-A", base
@@ -400,6 +402,11 @@ def quartic_split_depressed(f, c, d, e, strict=False, resolvent_root=None):
     """
     if f.is_zero(d):
         raise BiquadraticQuartic("biquadratic case")
+    return _quartic_split(f, c, d, e, strict, resolvent_root)
+
+
+def _quartic_split(f, c, d, e, strict, resolvent_root=None):
+    """``quartic_split_depressed`` for a d the caller has tested nonzero."""
     if resolvent_root is not None:
         candidates = [resolvent_root]
     else:
@@ -435,7 +442,7 @@ def _quartic_depressed_roots(f, c, d, e, strict=False):
             ("biquadratic-2-plus", r2),
             ("biquadratic-2-minus", f.neg(r2)),
         ]
-    p, q, s = quartic_split_depressed(f, c, d, e, strict=strict)
+    p, q, s = _quartic_split(f, c, d, e, strict)
     x1, x2 = _quadratic_monic(f, p, q)
     x3, x4 = _quadratic_monic(f, f.neg(p), s)
     return [

@@ -14,18 +14,21 @@ mixed radix of 2*d_k - 1 per level with the lowest level least significant,
 so multiplying two monomials adds their keys without carry and appending a
 level leaves every key unchanged.  Multiplication is the integer product of
 the nonzero terms with one reduction pass that applies each level's rule
-h_k**d_k -> rule, through a per-tower table of reduced monomials; inversion
+h_k**d_k -> rule, through the tower's table of reduced monomials; inversion
 multiplies by the adjugate over the level below; a product with a rational
 operand only scales the other's terms.  ``debug_str`` and ``to_complex`` are
 defined in the original g basis; ``to_complex`` evaluates from the highest
 level an element uses, which gives the bits of an evaluation over the whole
 tower as long as every level embeds as a finite number.
 
-A tower is the level chain of one solve session.  ``Tower.adjoin`` appends
-a level in place; since appending leaves every key unchanged, elements
-built before it keep their value, and the table of reduced monomials stays
-valid as it grows.  Elements of different towers do not mix, except that a
-rational takes the tower of the element it meets.
+A ``Tower`` is one solve session: it owns the level chain, the generator
+keys, the table of reduced monomials and adjunction.  ``Tower.adjoin``
+returns an equal root for an equal radicand and otherwise appends a level
+in place; since appending leaves every key unchanged, elements built
+before it keep their value, elements over the lower levels are elements of
+the grown tower, and the table stays valid as it grows.  Elements combine
+only with elements, and elements of different towers do not mix, except
+that a rational takes the tower of the element it meets.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ class ReducibleExtensionError(ArithmeticError):
     """A defining polynomial turned out reducible over its base.
 
     Raised when inverting a nonzero zero-divisor.  ``factor`` carries the
-    discovered proper factor of the defining polynomial (little-endian
-    coefficient list of elements of the tower below the level).  The tower is
-    not auto-split.  On rational coefficients the solvers invert only units,
-    so they never raise it.
+    discovered proper factor of the defining polynomial: a little-endian
+    coefficient list of elements of the session tower that use only the
+    levels below the reducible one.  The tower is not auto-split.  On
+    rational coefficients the solvers invert only units, so they never
+    raise it.
     """
 
     def __init__(self, factor):
@@ -106,7 +110,7 @@ def rational_cbrt(q):
 
 
 # ---------------------------------------------------------------------------
-# The integral kernel.  ``terms`` maps a monomial key to a nonzero int; keys
+# Integral terms.  ``terms`` maps a monomial key to a nonzero int; keys
 # of normal monomials have every digit e_k < d_k, and the sum of two such
 # keys is the key of their product, each digit below 2*d_k - 1.
 # ---------------------------------------------------------------------------
@@ -140,93 +144,6 @@ def _root_scale(den, deg):
         scale *= p ** -(-e // deg)
     root = math.isqrt(den) if deg == 2 else _icbrt(den)
     return scale * (root if root**deg == den else den)
-
-
-class _Kernel(dict):
-    """Integral arithmetic over ``levels``.
-
-    As a dict it maps every monomial key that a product can produce to its
-    normal form, filled on first use: ``None`` for a key that is already
-    normal, else a tuple of (normal key, int) pairs.
-    """
-
-    __slots__ = ("levels", "bases")
-
-    def __init__(self, levels):
-        super().__init__()
-        self.levels = levels
-        bases = [1]
-        for lv in levels:
-            bases.append(bases[-1] * lv.radix)
-        #: key of each generator, then one past the largest key
-        self.bases = bases
-
-    def __missing__(self, key):
-        levels, bases = self.levels, self.bases
-        for k in range(len(levels) - 1, -1, -1):
-            if key // bases[k] % levels[k].radix >= levels[k].deg:
-                break
-        else:
-            self[key] = None
-            return None
-        # h_k**e = h_k**(e - d_k) * rule_k at the highest overflowing level;
-        # what is left overflows only below it, and has a smaller key
-        rest = key - levels[k].deg * bases[k]
-        form = self[rest]
-        base = {rest: 1} if form is None else dict(form)
-        value = tuple(self.mul(base, levels[k].rule).items())
-        self[key] = value
-        return value
-
-    def mul(self, x, y):
-        """Product of integral terms x and y, reduced by the level rules."""
-        out = {}
-        get = out.get
-        for a, ca in x.items():
-            for b, cb in y.items():
-                key = a + b
-                form = self[key]
-                if form is None:
-                    out[key] = get(key, 0) + ca * cb
-                else:
-                    c = ca * cb
-                    for n, cn in form:
-                        out[n] = get(n, 0) + c * cn
-        return {k: v for k, v in out.items() if v}
-
-    def inverse(self, terms):
-        """(terms, den) of 1/x for nonzero integral x, by the norm to the level
-        below x's highest generator: x * adj(x) = N(x) there."""
-        top = bisect_right(self.bases, max(terms)) - 1
-        if top < 0:
-            n = terms[0]
-            return {0: 1 if n > 0 else -1}, abs(n)
-        level, base, mul = self.levels[top], self.bases[top], self.mul
-        rule = level.rule
-        a = [{} for _ in range(level.deg)]
-        for key, v in terms.items():
-            i, low = divmod(key, base)
-            a[i][low] = v
-        if level.deg == 2:
-            adj = [a[0], {k: -v for k, v in a[1].items()}]
-            norm = _combine(mul(a[0], a[0]), mul(rule, mul(a[1], a[1])), -1)
-        else:
-            a0, a1, a2 = a
-            adj = [
-                _combine(mul(a0, a0), mul(rule, mul(a1, a2)), -1),
-                _combine(mul(rule, mul(a2, a2)), mul(a0, a1), -1),
-                _combine(mul(a1, a1), mul(a0, a2), -1),
-            ]
-            cross = _combine(mul(a1, adj[2]), mul(a2, adj[1]))
-            norm = _combine(mul(a0, adj[0]), mul(rule, cross))
-        if not norm:
-            below = Tower(self.levels[:top])
-            coeffs = [TowerElement(below, part) * level.scale**i for i, part in enumerate(a)]
-            raise ReducibleExtensionError(factor=_reducible_factor(below, level, coeffs))
-        content = gcd(*norm.values())
-        inv, den = self.inverse({k: v // content for k, v in norm.items()})
-        adjoint = {low + i * base: v for i, part in enumerate(adj) for low, v in part.items()}
-        return mul(adjoint, inv), den * content
 
 
 def _exponents(levels, key):
@@ -312,11 +229,13 @@ def _trim(poly):
     return poly
 
 
-def _reducible_factor(below, level, coeffs):
-    """gcd over ``below`` of sum(coeffs[i] * X**i) and X**deg - radicand, by
-    Euclid; little-endian, a proper factor when the first is a zero-divisor."""
+def _reducible_factor(tower, level, coeffs):
+    """gcd over the levels below ``level`` of sum(coeffs[i] * X**i) and
+    X**deg - radicand, by Euclid in ``tower``; little-endian, a proper factor
+    when the first is a zero-divisor."""
     terms, den = level.radicand
-    a = [-TowerElement(below, dict(terms), den)] + [below.zero] * (level.deg - 1) + [below.one]
+    a = [-TowerElement(tower, dict(terms), den)]
+    a += [tower.rational(0)] * (level.deg - 1) + [tower.rational(1)]
     b = _trim(list(coeffs))
     while b:
         lead = b[-1].inverse()
@@ -351,15 +270,26 @@ class Level:
         self.rule = {k: v * lift for k, v in radicand.terms.items()}
 
 
-class Tower:
-    """The chain of radical extensions over the rationals of one session;
-    ``adjoin`` grows it in place."""
+class Tower(dict):
+    """The chain of radical extensions over the rationals of one session,
+    and its integral arithmetic.
 
-    __slots__ = ("levels", "_kernel")
+    ``levels`` is the chain and ``bases`` the key of each generator, then
+    one past the largest key; ``adjoin`` grows both in place.  As a dict the
+    tower maps every monomial key that a product can produce to its normal
+    form, filled on first use: ``None`` for a key that is already normal,
+    else a tuple of (normal key, int) pairs.
+    """
 
-    def __init__(self, levels=()):
-        self.levels = list(levels)
-        self._kernel = _Kernel(self.levels)
+    __slots__ = ("levels", "bases", "_roots")
+
+    def __init__(self):
+        super().__init__()
+        self.levels = []
+        self.bases = [1]
+        #: (kind, den, frozenset of terms) of a radicand -> (terms, den) of
+        #: its root; not the element, which would refer back to the tower
+        self._roots = {}
 
     @property
     def depth(self):
@@ -369,38 +299,104 @@ class Tower:
         q = Fraction(q)
         return TowerElement(self, {0: q.numerator} if q else {}, q.denominator)
 
-    @property
-    def zero(self):
-        return self.rational(0)
-
-    @property
-    def one(self):
-        return self.rational(1)
-
-    def generator(self, index):
-        """The generator adjoined at ``index`` (0-based), as an element."""
-        return TowerElement(self, {self._kernel.bases[index]: 1}, self.levels[index].scale)
-
     def adjoin(self, kind, a):
-        """Adjoin a ``kind`` ("sqrt" or "cbrt") root of ``a``, which must be
-        an element of this tower or a rational, and return it.
+        """A ``kind`` ("sqrt" or "cbrt") root of ``a``, which must be an
+        element of this tower or a rational.
 
-        A rational perfect square, or perfect cube of either sign, returns
-        its rational root and leaves the tower unchanged.  Otherwise a level
-        is appended whose generator embeds as the principal complex root of
-        the radicand's embedding.
+        An equal radicand returns an equal root, so each provider is a
+        genuine function.  A rational perfect square, or perfect cube of
+        either sign, returns its rational root and leaves the tower
+        unchanged.  Otherwise a level is appended whose generator embeds as
+        the principal complex root of the radicand's embedding.
         """
+        if a.tower is not self and not a.terms.keys() <= {0}:
+            raise TowerMismatchError("tower mismatch")
+        # the normal form is unique, so equal radicands have equal terms
+        key = (kind, a.den, frozenset(a.terms.items()))
+        root = self._roots.get(key)
+        if root is not None:
+            return TowerElement(self, *root)
         q = a.as_rational()
-        if q is not None:
-            root = rational_sqrt(q) if kind == "sqrt" else rational_cbrt(q)
-            if root is not None:
-                return self.rational(root)
-        principal = csqrt_principal if kind == "sqrt" else ccbrt_principal
-        level = Level(kind, a, principal(a.to_complex()))
-        self.levels.append(level)
-        bases = self._kernel.bases
-        bases.append(bases[-1] * level.radix)
-        return self.generator(len(self.levels) - 1)
+        r = None if q is None else (rational_sqrt(q) if kind == "sqrt" else rational_cbrt(q))
+        if r is not None:
+            root = self.rational(r)
+        else:
+            principal = csqrt_principal if kind == "sqrt" else ccbrt_principal
+            level = Level(kind, a, principal(a.to_complex()))
+            root = TowerElement(self, {self.bases[-1]: 1}, level.scale)
+            self.levels.append(level)
+            self.bases.append(self.bases[-1] * level.radix)
+        self._roots[key] = root.terms, root.den
+        return root
+
+    def __missing__(self, key):
+        levels, bases = self.levels, self.bases
+        for k in range(len(levels) - 1, -1, -1):
+            if key // bases[k] % levels[k].radix >= levels[k].deg:
+                break
+        else:
+            self[key] = None
+            return None
+        # h_k**e = h_k**(e - d_k) * rule_k at the highest overflowing level;
+        # what is left overflows only below it, and has a smaller key
+        rest = key - levels[k].deg * bases[k]
+        form = self[rest]
+        base = {rest: 1} if form is None else dict(form)
+        value = tuple(self.mul(base, levels[k].rule).items())
+        self[key] = value
+        return value
+
+    def mul(self, x, y):
+        """Product of integral terms x and y, reduced by the level rules."""
+        out = {}
+        get = out.get
+        for a, ca in x.items():
+            for b, cb in y.items():
+                key = a + b
+                form = self[key]
+                if form is None:
+                    out[key] = get(key, 0) + ca * cb
+                else:
+                    c = ca * cb
+                    for n, cn in form:
+                        out[n] = get(n, 0) + c * cn
+        return {k: v for k, v in out.items() if v}
+
+    def inverse(self, terms):
+        """(terms, den) of 1/x for nonzero integral x, by the norm to the level
+        below x's highest generator: x * adj(x) = N(x) there."""
+        top = bisect_right(self.bases, max(terms)) - 1
+        if top < 0:
+            n = terms[0]
+            return {0: 1 if n > 0 else -1}, abs(n)
+        level, base, mul = self.levels[top], self.bases[top], self.mul
+        rule = level.rule
+        a = [{} for _ in range(level.deg)]
+        for key, v in terms.items():
+            i, low = divmod(key, base)
+            a[i][low] = v
+        if level.deg == 2:
+            adj = [a[0], {k: -v for k, v in a[1].items()}]
+            norm = _combine(mul(a[0], a[0]), mul(rule, mul(a[1], a[1])), -1)
+        else:
+            a0, a1, a2 = a
+            adj = [
+                _combine(mul(a0, a0), mul(rule, mul(a1, a2)), -1),
+                _combine(mul(rule, mul(a2, a2)), mul(a0, a1), -1),
+                _combine(mul(a1, a1), mul(a0, a2), -1),
+            ]
+            cross = _combine(mul(a1, adj[2]), mul(a2, adj[1]))
+            norm = _combine(mul(a0, adj[0]), mul(rule, cross))
+        if not norm:
+            coeffs = [
+                _normal(self, {k: v * level.scale**i for k, v in part.items()}, 1)
+                for i, part in enumerate(a)
+            ]
+            raise ReducibleExtensionError(factor=_reducible_factor(self, level, coeffs))
+        content = gcd(*norm.values())
+        inv, den = self.inverse({k: v // content for k, v in norm.items()})
+        adjoint = {low + i * base: v for i, part in enumerate(adj) for low, v in part.items()}
+        return mul(adjoint, inv), den * content
 
     def __repr__(self):
         return f"Tower(depth={self.depth})"
@@ -417,11 +413,9 @@ class TowerElement:
         self.den = den
 
     def _pair(self, other):
-        """(tower, other element) for a binary operation, or None; a rational
-        takes the other side's tower."""
+        """(tower, other element) for a binary operation, or None when other
+        is not an element; a rational takes the other side's tower."""
         if other.__class__ is not TowerElement:
-            if isinstance(other, (int, Fraction)):
-                return self.tower, self.tower.rational(other)
             return None
         if self.tower is other.tower or other.terms.keys() <= {0}:
             return self.tower, other
@@ -444,16 +438,11 @@ class TowerElement:
     def __add__(self, other):
         return self._add(other, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TowerElement(self.tower, {k: -v for k, v in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self._add(other, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         pair = self._pair(other)
@@ -464,13 +453,11 @@ class TowerElement:
         if len(x.terms) == 1 and 0 in x.terms:
             x, y = y, x
         if len(y.terms) == 1 and 0 in y.terms:
-            # a nonzero rational scales the terms; the kernel's product is
+            # a nonzero rational scales the terms; the tower's product is
             # the same, term by term
             n = y.terms[0]
             return _normal(tower, {k: v * n for k, v in x.terms.items()}, den)
-        return _normal(tower, tower._kernel.mul(x.terms, y.terms), den)
-
-    __rmul__ = __mul__
+        return _normal(tower, tower.mul(x.terms, y.terms), den)
 
     def inverse(self):
         """Multiplicative inverse; the input must be nonzero.
@@ -480,7 +467,7 @@ class TowerElement:
         """
         if not self.terms:
             raise ZeroDivisionError("division by zero")
-        terms, den = self.tower._kernel.inverse(self.terms)
+        terms, den = self.tower.inverse(self.terms)
         return _normal(self.tower, {k: v * self.den for k, v in terms.items()}, den)
 
     def is_zero(self):
@@ -512,7 +499,7 @@ class TowerElement:
         """
         levels, den = self.tower.levels, self.den
         coeffs = {k: n / den for k, n in _g_numerators(levels, self.terms).items()}
-        return _embed(levels, self.tower._kernel.bases, len(levels), coeffs)
+        return _embed(levels, self.tower.bases, len(levels), coeffs)
 
     def as_rational(self):
         terms = self.terms
@@ -543,10 +530,10 @@ class TowerField(FieldCapabilities):
     """Field capabilities over one growing radical tower.
 
     One instance is a single solve session with one ``Tower``, the same
-    object for the whole session: ``sqrt`` and ``cbrt`` append levels to it,
-    and repeated calls with the same radicand return the same generator, so
-    each provider is a genuine function.  Elements built earlier in the
-    session stay valid as the tower grows.
+    object for the whole session: ``sqrt`` and ``cbrt`` are its ``adjoin``,
+    which appends levels and returns an equal generator for an equal
+    radicand.  Elements built earlier in the session stay valid as the
+    tower grows.
     """
 
     name = "tower"
@@ -556,7 +543,6 @@ class TowerField(FieldCapabilities):
         self.tower = Tower()
         self.zero = self.tower.rational(0)
         self.one = self.tower.rational(1)
-        self._roots = {}
 
     def add(self, x, y):
         return x + y
@@ -585,18 +571,8 @@ class TowerField(FieldCapabilities):
     def as_rational(self, x):
         return x.as_rational()
 
-    def _adjoin(self, kind, x):
-        if x.tower is not self.tower and not x.terms.keys() <= {0}:
-            raise TowerMismatchError("tower mismatch")
-        # the normal form is unique, so equal radicands have equal terms
-        key = (kind, x.den, frozenset(x.terms.items()))
-        root = self._roots.get(key)
-        if root is None:
-            root = self._roots[key] = self.tower.adjoin(kind, x)
-        return root
-
     def sqrt(self, x):
-        return self._adjoin("sqrt", x)
+        return self.tower.adjoin("sqrt", x)
 
     def cbrt(self, x):
-        return self._adjoin("cbrt", x)
+        return self.tower.adjoin("cbrt", x)

@@ -220,6 +220,33 @@ def test_exact_cubic_takes_one_cube_root(monkeypatch):
     assert calls == {"sqrt": 2, "cbrt": 1}
 
 
+class _ZeroTestCounter(TowerField):
+    def __init__(self):
+        super().__init__()
+        self.zero_tests = 0
+
+    def is_zero(self, x):
+        self.zero_tests += 1
+        return super().is_zero(x)
+
+
+@pytest.mark.parametrize(
+    "solve, coeffs, total, strict",
+    [
+        # the leading coefficient, then c' and d' in the split
+        (solve_cubic, (2, 1, -3, 5), 3, 5),
+        # the leading coefficient, d', the resolvent's c and d, the first
+        # candidate, and the two quadratics' linear terms
+        (solve_quartic, (3, -1, 2, 5, -7), 7, 8),
+    ],
+)
+def test_each_case_split_tests_its_element_once(solve, coeffs, total, strict):
+    for is_strict, want in ((False, total), (True, strict)):
+        f = _ZeroTestCounter()
+        solve(f, *(f.from_rational(q) for q in coeffs), strict=is_strict)
+        assert f.zero_tests == want
+
+
 # -- total cubic solvers ---------------------------------------------------------
 
 

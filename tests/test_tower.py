@@ -1,5 +1,6 @@
 """Exact backend: adjunction, arithmetic, inversion."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from radica import (
     Tower,
     TowerField,
     TowerMismatchError,
+    solve_quartic,
 )
 from radica.selftest import rand_fraction
 from radica.tower import _g_numerators, _root_scale
@@ -140,8 +142,9 @@ def test_tower_mismatch_between_sessions():
     gb = fb.sqrt(fb.from_rational(3))
     with pytest.raises(TowerMismatchError, match="tower mismatch"):
         ga + gb
-    fa.sqrt(ga + 1)
-    for radicand in (gb + 1, gb + 2):  # the first has the terms of ga + 1
+    fa.sqrt(ga + fa.one)
+    # the first has the terms of ga + 1
+    for radicand in (gb + fb.one, gb + fb.from_rational(2)):
         with pytest.raises(TowerMismatchError, match="tower mismatch"):
             fa.sqrt(radicand)
 
@@ -231,7 +234,7 @@ def test_adjoin_is_append_only():
     g2 = t.adjoin("cbrt", g1)
     assert t.depth == 2 and t.levels[0] is first
     # elements built before an adjunction stay usable after it
-    assert ((g1 + t.one) * g2).tower is t
+    assert ((g1 + t.rational(1)) * g2).tower is t
 
 
 def _bits(z):
@@ -258,6 +261,34 @@ def test_session_tower_grows_in_place_keeping_earlier_elements():
     assert x.debug_str().endswith("; g3^3 = (1) + (-2)*g2")
     assert (hash(x), body, _bits(f.to_complex(x))) == before
     assert hash(z) == before[0] and _bits(f.to_complex(z)) == before[2]
+
+
+def test_adjoin_reuses_generator_for_same_radicand():
+    t = Tower()
+
+    def radicand():
+        return t.rational(1) + t.adjoin("sqrt", t.rational(2))
+
+    g = t.adjoin("cbrt", radicand())
+    assert t.adjoin("cbrt", radicand()) == g
+    assert t.depth == 2
+
+
+def test_solved_session_is_freed_without_the_cycle_collector():
+    def towers():
+        return sum(isinstance(o, Tower) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = towers()
+        f = TowerField()
+        records = solve_quartic(f, *(f.from_rational(q) for q in (3, -1, 2, 5, -7)))
+        assert f.tower.depth > 0 and towers() == before + 1
+        del f, records
+        assert towers() == before
+    finally:
+        gc.enable()
 
 
 def test_session_reuses_generator_for_same_radicand():
@@ -396,7 +427,7 @@ def _ref_random(rng, degs, depth, terms):
 
 def _from_ref(tower, gens, x):
     """The kernel element of a reference element, built from generator powers."""
-    total = tower.zero
+    total = tower.rational(0)
     for exps, q in x.items():
         term = tower.rational(q)
         for g, e in zip(gens, exps):
@@ -444,7 +475,6 @@ def _check_against_reference(tower, gens, levels, x, y):
     for q in RATIONAL_FACTORS:
         ref = _ref_mul(levels, {one: q}, x)
         cases += [(ref, tower.rational(q) * kx), (ref, kx * tower.rational(q))]
-    cases.append((_ref_mul(levels, {one: Fraction(6)}, x), kx * 6))
     for ref, got in cases:
         assert got.debug_str() == _ref_debug_str(levels, ref)
         want = _ref_embed(tower, ref)
@@ -459,7 +489,7 @@ def _check_against_reference(tower, gens, levels, x, y):
     assert kx == _from_ref(tower, gens, dict(reversed(list(x.items()))))
     if x:
         try:
-            assert kx * kx.inverse() == tower.one
+            assert kx * kx.inverse() == tower.rational(1)
             return True
         except ReducibleExtensionError:
             pass
@@ -489,7 +519,7 @@ def _full_depth_embed(levels, bases, depth, coeffs):
 def _full_depth_to_complex(x):
     levels = x.tower.levels
     coeffs = {k: n / x.den for k, n in _g_numerators(levels, x.terms).items()}
-    return _full_depth_embed(levels, x.tower._kernel.bases, len(levels), coeffs)
+    return _full_depth_embed(levels, x.tower.bases, len(levels), coeffs)
 
 
 def test_to_complex_matches_full_depth_embedding():
@@ -498,7 +528,7 @@ def test_to_complex_matches_full_depth_embedding():
     for _ in range(60):
         degs = [rng.choice((2, 3)) for _ in range(rng.randint(1, 5))]
         tower, gens, _ = _random_tower(rng, degs)
-        elements = [tower.zero, tower.rational(-rand_fraction(rng, 30, nonzero=True) ** 2)]
+        elements = [tower.rational(0), tower.rational(-rand_fraction(rng, 30, nonzero=True) ** 2)]
         elements += [tower.rational(rand_fraction(rng, 30)) for _ in range(2)]
         # one element per number of levels used, the lower ones many times over
         for depth in range(len(degs) + 1):
@@ -544,6 +574,8 @@ def _zero_divisor_tower(rng):
     adjoin({(0,) * 5: Fraction(rng.choice((2, 3, 5, 7)))})
     s = nonzero(1)
     s[(1, 0, 0, 0, 0)] = Fraction(rng.choice((-2, -1, 1, 2)))
+    # a rational part keeps s**2 off the first radicand, whose root is g1
+    s[(0,) * 5] = s.get((0,) * 5) or Fraction(1)
     adjoin(_ref_mul(levels, s, s))
     g2 = {(0, 1, 0, 0, 0): Fraction(1)}
     adjoin(_ref_mul(levels, _ref_add(g2, s, -1), nonzero(2)))
