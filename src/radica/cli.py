@@ -1,19 +1,18 @@
 """Command-line front end: parse a polynomial, solve, display, verify.
 
-Exit codes: 0 success, 2 parse error, 3 unsupported degree (0 or above 4),
-4 backend failure (including paper-strict rejections and values beyond
-float range), 5 verification failure.
+Exit codes: 0 success, 2 parse or usage error, 3 unsupported degree (0 or
+above 4), 4 backend failure (including paper-strict rejections and values
+beyond float range), 5 verification failure.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .complexfield import ComplexField
 from .solvers import (
@@ -319,6 +318,8 @@ def _cmd_solve(args):
     values = [values[i] for i in order]
 
     if args.format == "json":
+        import json
+
         payload = _report_json(poly, backend_name, records, values, report)
         print(json.dumps(payload, indent=2))
     else:
@@ -360,54 +361,150 @@ def _cmd_selftest(args):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _polynomial_last(argv):
-    """``solve`` argv with a polynomial that starts with '-' and has no space,
-    such as "-5/4*x^3", moved behind ``--``: argparse would read it as an
-    unknown option.  Tokens already behind ``--`` are left alone."""
-    if argv[:1] != ["solve"]:
-        return argv
-    for i, token in enumerate(argv):
-        if token == "--":
-            break
-        if token.startswith("-") and not token.startswith("--") and token != "-h":
-            return argv[:i] + argv[i + 1 :] + ["--", token]
-    return argv
+#: ``--help`` of each level as argparse printed it at 80 columns; its first
+#: paragraph is the usage line that a usage error prints
+_HELP = {
+    "radica": """\
+usage: radica [-h] {solve,selftest} ...
+
+Solve quadratic, cubic, and quartic equations by radicals, exactly over a
+tower of radical extensions or approximately over complex doubles, with
+independent verification.
+
+positional arguments:
+  {solve,selftest}
+    solve           solve a polynomial given as an expression
+    selftest        run the randomized invariant corpus
+
+options:
+  -h, --help        show this help message and exit
+""",
+    "radica solve": """\
+usage: radica solve [-h] [--field {exact,complex}] [--format {text,json}]
+                    [--verify] [--radical] [--paper-strict]
+                    polynomial
+
+positional arguments:
+  polynomial            e.g. "x^3 - 6*x - 9" or "1/2*x^2 + x - 3"
+
+options:
+  -h, --help            show this help message and exit
+  --field {exact,complex}
+                        backend; decimal coefficients force complex
+  --format {text,json}
+  --verify              attach a verification report
+  --radical             print radical expressions
+  --paper-strict        use the strict mode of the cubic and quartic solvers,
+                        which rejects inputs outside the formulas' hypotheses
+""",
+    "radica selftest": """\
+usage: radica selftest [-h]
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+#: ``solve``'s options, each with its choices or None for a flag; the other
+#: levels have only --help
+_SOLVE_OPTIONS = {
+    "--help": None, "--field": ("exact", "complex"), "--format": ("text", "json"),
+    "--verify": None, "--radical": None, "--paper-strict": None,
+}
+
+
+class _Exit(Exception):
+    """``_Exit(prog)`` asks for ``prog``'s help; ``_Exit(prog, message)`` is a usage error."""
+
+
+def _parse_args(argv):
+    """``(command, args)`` of ``radica [-h] {solve,selftest} ...``, read as argparse
+    reads it: ``--opt value``, ``--opt=value`` or a unique prefix of an option,
+    before or after the polynomial.  A ``solve`` token that does not start with
+    ``--``, other than ``-h``, is positional, so "-5/4*x^3" needs no ``--``."""
+    prog, command, pending, rest, unknown = "radica", None, None, False, []
+    args = SimpleNamespace(
+        polynomial=None, field="exact", format="text", verify=False, radical=False,
+        paper_strict=False,
+    )
+    for token in argv:
+        name, eq, value = ("--help" if token == "-h" else token).partition("=")
+        options = _SOLVE_OPTIONS if command == "solve" else ("--help",)
+        matches = [o for o in options if name.startswith("--") and o.startswith(name)]
+        if pending and name.startswith("--"):
+            break  # the pending option gets no value
+        if pending and not token.startswith("-"):  # its value, read as --opt=value
+            name, eq, value, pending = pending, "=", token, None
+        # positional, as argparse reads it: the first "--" (solve drops it) and
+        # every token after it, a token without its level's option prefix, or
+        # one with a space that names no option
+        elif (
+            rest
+            or token == "--"
+            or not name.startswith("--" if command else "-")
+            or " " in token and not matches
+        ):
+            if token == "--" and not rest:
+                rest = True
+                if command == "solve":
+                    continue
+            if command is None and token not in ("solve", "selftest"):
+                listed = "(choose from 'solve', 'selftest')"
+                raise _Exit(prog, f"argument command: invalid choice: {token!r} {listed}")
+            if command is None:
+                command, prog = token, f"radica {token}"
+            elif command == "solve" and args.polynomial is None:
+                args.polynomial = token
+            else:
+                unknown.append(token)
+            continue
+        elif len(matches) > 1:
+            raise _Exit(prog, f"ambiguous option: {token} could match {', '.join(matches)}")
+        elif not matches:
+            unknown.append(token)
+            continue
+        else:
+            name = matches[0]
+        choices = _SOLVE_OPTIONS.get(name)
+        if choices and not eq:
+            pending = name
+        elif eq and not choices:
+            label = "-h/--help" if name == "--help" else name
+            raise _Exit(prog, f"argument {label}: ignored explicit argument {value!r}")
+        elif choices and value not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise _Exit(prog, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+        elif name == "--help":
+            raise _Exit(prog)
+        else:
+            setattr(args, name[2:].replace("-", "_"), value if choices else True)
+    if pending:
+        raise _Exit(prog, f"argument {pending}: expected one argument")
+    if command is None or command == "solve" and args.polynomial is None:
+        missing = "polynomial" if command else "command"
+        raise _Exit(prog, f"the following arguments are required: {missing}")
+    if unknown:
+        raise _Exit("radica", f"unrecognized arguments: {' '.join(unknown)}")
+    return command, args
 
 
 def run(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="radica",
-        description="Solve quadratic, cubic, and quartic equations by radicals, "
-        "exactly over a tower of radical extensions or approximately over "
-        "complex doubles, with independent verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    """Run ``radica`` on ``argv`` (default ``sys.argv[1:]``) and return the exit code.
 
-    sp = sub.add_parser("solve", help="solve a polynomial given as an expression")
-    sp.add_argument("polynomial", help='e.g. "x^3 - 6*x - 9" or "1/2*x^2 + x - 3"')
-    sp.add_argument(
-        "--field",
-        choices=["exact", "complex"],
-        default="exact",
-        help="backend; decimal coefficients force complex",
-    )
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.add_argument("--verify", action="store_true", help="attach a verification report")
-    sp.add_argument("--radical", action="store_true", help="print radical expressions")
-    sp.add_argument(
-        "--paper-strict",
-        action="store_true",
-        help="use the strict mode of the cubic and quartic solvers, which "
-        "rejects inputs outside the formulas' hypotheses",
-    )
-    sp.set_defaults(func=_cmd_solve)
-
-    st = sub.add_parser("selftest", help="run the randomized invariant corpus")
-    st.set_defaults(func=_cmd_selftest)
-
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_polynomial_last(argv))
-    return args.func(args)
+    Help prints to stdout and returns 0, a usage error prints to stderr and
+    returns 2; neither raises ``SystemExit``, and ``main`` exits with the code.
+    """
+    try:
+        command, args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _Exit as exc:
+        prog, *error = exc.args
+        if not error:
+            print(_HELP[prog], end="")
+            return EXIT_OK
+        usage = _HELP[prog].partition("\n\n")[0]
+        print(f"{usage}\n{prog}: error: {error[0]}", file=sys.stderr)
+        return EXIT_PARSE
+    return _cmd_solve(args) if command == "solve" else _cmd_selftest(args)
 
 
 def main():

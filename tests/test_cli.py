@@ -1,11 +1,17 @@
 """Polynomial parsing and the command-line surface."""
 
+import argparse
+import io
 import json
 import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+import radica.cli as cli
 from radica import selftest
 from radica.cli import ParseError, parse_polynomial, run
 
@@ -343,3 +349,190 @@ def test_json_schema_fields(capsys):
         assert set(root) == {"label", "radical", "approx", "residual"}
         assert set(root["approx"]) == {"re", "im"}
     assert set(payload["verification"]) == {"factorization_ok", "oracle_match", "notes"}
+
+
+# -- argv grammar against the argparse reference ----------------------------------
+
+
+def _polynomial_last(argv):
+    """``solve`` argv with a polynomial that starts with '-' and has no space,
+    such as "-5/4*x^3", moved behind ``--``: argparse would read it as an
+    unknown option.  Tokens already behind ``--`` are left alone."""
+    if argv[:1] != ["solve"]:
+        return argv
+    for i, token in enumerate(argv):
+        if token == "--":
+            break
+        if token.startswith("-") and not token.startswith("--") and token != "-h":
+            return argv[:i] + argv[i + 1 :] + ["--", token]
+    return argv
+
+
+def _argparse_run(argv=None):
+    """``cli.run`` as it was with argparse: the reference the fixed-grammar
+    parser reproduces."""
+    parser = argparse.ArgumentParser(
+        prog="radica",
+        description="Solve quadratic, cubic, and quartic equations by radicals, "
+        "exactly over a tower of radical extensions or approximately over "
+        "complex doubles, with independent verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("solve", help="solve a polynomial given as an expression")
+    sp.add_argument("polynomial", help='e.g. "x^3 - 6*x - 9" or "1/2*x^2 + x - 3"')
+    sp.add_argument(
+        "--field",
+        choices=["exact", "complex"],
+        default="exact",
+        help="backend; decimal coefficients force complex",
+    )
+    sp.add_argument("--format", choices=["text", "json"], default="text")
+    sp.add_argument("--verify", action="store_true", help="attach a verification report")
+    sp.add_argument("--radical", action="store_true", help="print radical expressions")
+    sp.add_argument(
+        "--paper-strict",
+        action="store_true",
+        help="use the strict mode of the cubic and quartic solvers, which "
+        "rejects inputs outside the formulas' hypotheses",
+    )
+    sp.set_defaults(func=cli._cmd_solve)
+
+    st = sub.add_parser("selftest", help="run the randomized invariant corpus")
+    st.set_defaults(func=cli._cmd_selftest)
+
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_polynomial_last(argv))
+    return args.func(args)
+
+
+#: the fields of ``solve``'s parsed arguments
+SOLVE_FIELDS = ("polynomial", "field", "format", "verify", "radical", "paper_strict")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The commands run, recorded with their parsed fields instead of running."""
+    calls = []
+
+    def record_solve(args):
+        calls.append([getattr(args, f) for f in SOLVE_FIELDS])
+        return 0
+
+    def record_selftest(args):
+        calls.append("selftest")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_solve", record_solve)
+    monkeypatch.setattr(cli, "_cmd_selftest", record_selftest)
+    return calls
+
+
+def _outcome(run_argv, argv, calls):
+    """(exit code, stdout, stderr, recorded commands) of one run."""
+    calls.clear()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run_argv(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), list(calls)
+
+
+#: the shortest unique prefix of each ``solve`` option
+PREFIXES = {"--field": 4, "--format": 4, "--verify": 3, "--radical": 3, "--paper-strict": 3}
+CHOICES = {"--field": ("exact", "complex"), "--format": ("text", "json")}
+POLYNOMIALS = ("x^2 + 1", "-5/4*x^3", "-x", "x^2 - 1", "1/2*x^2 + x - 3", "-0.5*x^4 + 2")
+
+
+def test_valid_argv_parses_as_argparse_did(calls):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def solve_argv(draw):
+        options = []
+        for option in draw(st.permutations(sorted(PREFIXES)))[: draw(st.integers(0, 5))]:
+            name = option[: draw(st.integers(PREFIXES[option], len(option)))]
+            if option not in CHOICES:
+                options.append([name])
+            elif draw(st.booleans()):
+                options.append([f"{name}={draw(st.sampled_from(CHOICES[option]))}"])
+            else:
+                options.append([name, draw(st.sampled_from(CHOICES[option]))])
+        polynomial = draw(st.sampled_from(POLYNOMIALS))
+        if draw(st.booleans()):
+            options.append(["--", polynomial])
+        else:
+            options.insert(draw(st.integers(0, len(options))), [polynomial])
+        return ["solve"] + [token for group in options for token in group]
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(solve_argv())
+    def check(argv):
+        outcome = _outcome(run, argv, calls)
+        assert outcome == _outcome(_argparse_run, argv, calls)
+        assert outcome[0] == 0 and len(outcome[3]) == 1
+
+    check()
+
+
+#: help and usage-error argvs, each printed by the fixed-grammar parser as
+#: argparse printed it
+HELP_AND_ERROR_ARGVS = [
+    ["--help"],
+    ["-h"],
+    ["--he"],
+    ["solve", "--help"],
+    ["solve", "-h"],
+    ["solve", "x^2 + 1", "--verify", "-h"],
+    ["selftest", "-h"],
+    ["selftest", "--h"],
+    ["solve"],
+    ["solve", "--verify", "--format", "json"],
+    ["solve", "--field", "foo", "x^2 + 1"],
+    ["solve", "x^2 + 1", "--format=xml"],
+    ["solve", "x^2 + 1", "--field"],
+    ["solve", "--format", "--verify", "x^2 + 1"],
+    ["solve", "--format", "--", "x^2 + 1"],
+    ["solve", "--bogus", "x^2 + 1"],
+    ["solve", "--f", "x^2 + 1"],
+    ["solve", "--f=json", "x^2 + 1"],
+    ["solve", "--verify=1", "x^2 + 1"],
+    ["solve", "--help=1"],
+    [],
+    ["--bogus"],
+    ["frobnicate"],
+    ["--bogus", "solve", "x^2 + 1"],
+    ["solve", "x^2 + 1", "x"],
+    ["solve", "x^2 + 1", "--", "x"],
+    ["solve", "--", "x^2 + 1", "--verify"],
+    ["selftest", "extra"],
+    ["selftest", "--", "extra"],
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] not in ((3, 10), (3, 11)),
+    reason="the stored help and error texts are those of argparse in Python 3.10 and 3.11",
+)
+@pytest.mark.parametrize("argv", HELP_AND_ERROR_ARGVS, ids=" ".join)
+def test_help_and_usage_errors_print_what_argparse_did(monkeypatch, calls, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    outcome = _outcome(run, argv, calls)
+    assert outcome == _outcome(_argparse_run, argv, calls)
+    assert outcome[0] in (0, 2) and outcome[3] == []
+
+
+def test_text_solve_process_loads_neither_argparse_nor_json():
+    code = (
+        "import sys; before = set(sys.modules); from radica.cli import run; "
+        "run(['solve', '-x^2 + 1', '--verify']); "
+        "print(sorted({'argparse', 'json'} & (set(sys.modules) - before)))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
