@@ -1,9 +1,10 @@
 """Radical expression trees attached to solved roots.
 
 Node kinds: rational literal, add, neg, mul, div, sqrt, cbrt,
-omega-power.  The smart constructors fold arithmetic on literals (so a
-tree shows `9/2 + sqrt(49/4)` rather than the unevaluated rational
-plumbing) and products of omega powers, but keep root nodes symbolic.
+omega-power.  The smart constructors fold arithmetic on literals, as
+integer pairs in lowest terms (so a tree shows `9/2 + sqrt(49/4)` rather
+than the unevaluated rational plumbing), and products of omega powers, but
+keep root nodes symbolic.
 Rendering is deterministic and parenthesized-unambiguously, and a node
 keeps its own text once rendered; evaluating a tree over complex doubles
 with principal branches reproduces the root's numeric approximation.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .complexfield import ccbrt_principal, csqrt_principal
 
@@ -22,93 +24,166 @@ class RadicalExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# Nodes are frozen dataclasses (eq, hash, repr, fields), each built by an
+# ``__init__`` that writes its instance dict, the cheap way past the frozen
+# ``__setattr__``.
+_node = dataclass(frozen=True, init=False)
+
+
+@_node
 class Lit(RadicalExpr):
+    """A rational literal.  Folding and rendering read its pair ``n``/``d`` in
+    lowest terms with ``d > 0``; ``value`` is the same number as a ``Fraction``."""
+
     value: Fraction
 
+    def __init__(self, value):
+        attrs = self.__dict__
+        attrs["value"], attrs["n"], attrs["d"] = value, value.numerator, value.denominator
 
-@dataclass(frozen=True)
+
+class _LitValue:
+    """``Lit.value`` of a literal made from its pair by a fold: the ``Fraction``
+    is built when first read and then kept in the instance dict, which shadows
+    this descriptor."""
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = node.__dict__["value"] = Fraction(node.n, node.d)
+        return value
+
+
+Lit.value = _LitValue()  # set after @dataclass, so the field keeps no default
+
+
+@_node
 class Add(RadicalExpr):
     left: RadicalExpr
     right: RadicalExpr
 
+    def __init__(self, left, right):
+        attrs = self.__dict__
+        attrs["left"], attrs["right"] = left, right
 
-@dataclass(frozen=True)
+
+@_node
 class Neg(RadicalExpr):
     child: RadicalExpr
 
+    def __init__(self, child):
+        self.__dict__["child"] = child
 
-@dataclass(frozen=True)
+
+@_node
 class Mul(RadicalExpr):
     left: RadicalExpr
     right: RadicalExpr
 
+    def __init__(self, left, right):
+        attrs = self.__dict__
+        attrs["left"], attrs["right"] = left, right
 
-@dataclass(frozen=True)
+
+@_node
 class Div(RadicalExpr):
     num: RadicalExpr
     den: RadicalExpr
 
+    def __init__(self, num, den):
+        attrs = self.__dict__
+        attrs["num"], attrs["den"] = num, den
 
-@dataclass(frozen=True)
+
+@_node
 class Sqrt(RadicalExpr):
     child: RadicalExpr
 
+    def __init__(self, child):
+        self.__dict__["child"] = child
 
-@dataclass(frozen=True)
+
+@_node
 class Cbrt(RadicalExpr):
     child: RadicalExpr
 
+    def __init__(self, child):
+        self.__dict__["child"] = child
 
-@dataclass(frozen=True)
+
+@_node
 class OmegaPow(RadicalExpr):
     """Multiplication by the primitive cube root of unity, omega**power."""
 
     power: int
+
+    def __init__(self, power):
+        self.__dict__["power"] = power
 
 
 def lit(q):
     return Lit(q if q.__class__ is Fraction else Fraction(q))
 
 
-def _lit_value(e):
-    return e.value if e.__class__ is Lit else None
+def _pair(n, d):
+    """The literal n/d of a pair in lowest terms with d > 0; its ``value`` is
+    made when first read."""
+    node = object.__new__(Lit)
+    attrs = node.__dict__
+    attrs["n"], attrs["d"] = n, d
+    return node
+
+
+def _fold(n, d):
+    """The literal n/d, d != 0, brought to lowest terms with d > 0."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return _pair(n // g, d // g)
+
+
+# The smart constructors fold two literals on their pairs, one gcd per fold,
+# and drop the identities 0 and 1.
 
 
 def radd(a, b):
-    va, vb = _lit_value(a), _lit_value(b)
-    if va is not None and vb is not None:
-        return lit(va + vb)
-    if va == 0:
-        return b
-    if vb == 0:
+    if a.__class__ is Lit:
+        if b.__class__ is Lit:
+            return _fold(a.n * b.d + b.n * a.d, a.d * b.d)
+        if a.n == 0:
+            return b
+    elif b.__class__ is Lit and b.n == 0:
         return a
     return Add(a, b)
 
 
 def rneg(a):
-    va = _lit_value(a)
-    if va is not None:
-        return lit(-va)
+    if a.__class__ is Lit:
+        return _pair(-a.n, a.d)
     if isinstance(a, Neg):
         return a.child
     return Neg(a)
 
 
 def rsub(a, b):
+    if a.__class__ is Lit and b.__class__ is Lit:
+        return _fold(a.n * b.d - b.n * a.d, a.d * b.d)
     return radd(a, rneg(b))
 
 
 def rmul(a, b):
-    va, vb = _lit_value(a), _lit_value(b)
-    if va is not None and vb is not None:
-        return lit(va * vb)
-    if va == 0 or vb == 0:
-        return lit(0)
-    if va == 1:
-        return b
-    if vb == 1:
-        return a
+    if a.__class__ is Lit:
+        if b.__class__ is Lit:
+            return _fold(a.n * b.n, a.d * b.d)
+        if a.n == 0:
+            return _pair(0, 1)
+        if a.n == a.d:
+            return b
+    elif b.__class__ is Lit:
+        if b.n == 0:
+            return _pair(0, 1)
+        if b.n == b.d:
+            return a
     if isinstance(a, OmegaPow) and isinstance(b, Mul) and isinstance(b.left, OmegaPow):
         power = (a.power + b.left.power) % 3
         return Mul(OmegaPow(power), b.right) if power else b.right
@@ -116,14 +191,13 @@ def rmul(a, b):
 
 
 def rdiv(a, b):
-    va, vb = _lit_value(a), _lit_value(b)
-    if vb is not None and vb != 0:
-        if va is not None:
-            return lit(va / vb)
-        if vb == 1:
+    if b.__class__ is Lit and b.n:
+        if a.__class__ is Lit:
+            return _fold(a.n * b.d, a.d * b.n)
+        if b.n == b.d:
             return a
-    if va == 0:
-        return lit(0)
+    if a.__class__ is Lit and a.n == 0:
+        return _pair(0, 1)
     return Div(a, b)
 
 
@@ -141,9 +215,9 @@ def _prec(e):
     if cls is Mul or cls is Div:
         return _PREC_MUL
     if cls is Lit:
-        if e.value < 0:
+        if e.n < 0:
             return _PREC_ADD
-        return _PREC_ATOM if e.value.denominator == 1 else _PREC_MUL
+        return _PREC_ATOM if e.d == 1 else _PREC_MUL
     return _PREC_ATOM
 
 
@@ -158,7 +232,7 @@ def _render(e, ctx):
     if entry is None:
         cls = e.__class__
         if cls is Lit:
-            text = str(e.value)
+            text = str(e.n) if e.d == 1 else f"{e.n}/{e.d}"
         elif cls is Add:
             left = _render(e.left, _PREC_ADD)
             if e.right.__class__ is Neg:

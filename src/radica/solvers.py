@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
 
 from . import radicals
 from .fields import FieldCapabilities
-from .radicals import Cbrt, OmegaPow, RadicalExpr, Sqrt, evaluate, render
+from .radicals import Cbrt, OmegaPow, RadicalExpr, Sqrt, render
 
 
 class SolverError(Exception):
@@ -65,7 +64,7 @@ class RootRecord:
     """
 
     label: str
-    exact: Optional[Any]
+    exact: object | None
     approx: complex
     radical: RadicalExpr
 
@@ -475,16 +474,3 @@ def solve_quartic(field, a, b, c, d, e, strict=False):
     except ZeroLinearTerm:
         raise StrictHypothesisViolation("c'^2 + 12e' = 0 (resolvent hypothesis)") from None
     return _shifted_records(field, t, roots, shift)
-
-
-def record_self_consistent(record, tol=1e-9):
-    """True when the record's radical tree and exact value (if any) both
-    reproduce its numeric approximation within ``tol``."""
-    ok = abs(evaluate(record.radical) - record.approx) <= tol * max(
-        1.0, abs(record.approx)
-    )
-    if ok and record.exact is not None:
-        ok = abs(record.exact.to_complex() - record.approx) <= tol * max(
-            1.0, abs(record.approx)
-        )
-    return ok

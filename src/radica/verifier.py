@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from .complexfield import ComplexField, approx_eq, ccbrt_principal, csqrt_principal
 
@@ -84,19 +83,24 @@ def durand_kerner(coeffs, tol=1e-12, max_iter=200):
     n = len(monic) - 1
     seed = 0.4 + 0.9j
     roots = [seed**k for k in range(n)]
+    others = [(i, [j for j in range(n) if j != i]) for i in range(n)]
     for _ in range(max_iter):
         worst = 0.0
-        for i in range(n):
+        for i, rest in others:
             zi = roots[i]
             den = 1 + 0j
-            for j in range(n):
-                if j != i:
-                    den *= zi - roots[j]
+            for j in rest:
+                den *= zi - roots[j]
             if den == 0:
                 den = complex(1e-40, 0.0)
-            corr = _chorner(monic, zi) / den
+            acc = 0j  # _chorner(monic, zi), inline
+            for c in monic:
+                acc = acc * zi + c
+            corr = acc / den
             roots[i] = zi - corr
-            worst = max(worst, abs(corr))
+            size = abs(corr)
+            if size > worst:
+                worst = size
         if worst <= tol:
             return roots
     raise NoConvergence(roots, max_iter)
@@ -105,7 +109,7 @@ def durand_kerner(coeffs, tol=1e-12, max_iter=200):
 @dataclass
 class MatchResult:
     matched: bool
-    permutation: Optional[tuple]
+    permutation: tuple | None
     max_distance: float
 
 
@@ -129,7 +133,7 @@ def match_root_multisets(a, b, tol):
     best_perm = None
     best_rel = math.inf
     for perm in itertools.permutations(range(len(b))):
-        rel = max(row[p] for row, p in zip(dist, perm))
+        rel = max(map(list.__getitem__, dist, perm))
         if rel < best_rel:
             best_rel = rel
             best_perm = perm
@@ -229,9 +233,9 @@ class VerificationReport:
 
     residuals: list
     residuals_ok: bool
-    factorization_exact: Optional[bool]
+    factorization_exact: bool | None
     factorization_ok: bool
-    oracle_match: Optional[bool]
+    oracle_match: bool | None
     notes: list = dc_field(default_factory=list)
 
     @property

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,10 @@ from fractions import Fraction
 import pytest
 
 import radica.cli as cli
-from radica import selftest
-from radica.cli import ParseError, parse_polynomial, run
+from radica import RootRecord, VerificationReport, selftest
+from radica.cli import ParseError, PolynomialInput, parse_polynomial, run
+from radica.radicals import lit
+from radica.solvers import render_radical
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -32,6 +35,9 @@ BYTE_GOLDENS = {
     # decimal coefficients: the complex backend
     "float_cubic_1_5x3_2_25x_0_75.json": ("1.5*x^3 - 2.25*x + 0.75",),
     "float_quartic_0_5x4_1_25x3_0_1x_2.json": ("0.5*x^4 - 1.25*x^3 + 0.1*x - 2.0",),
+    # four roots clustered at 1: the oracle does not converge, and the
+    # verification carries a note
+    "clustered_quartic_x4_4x3_6x2_4x_1_000001.json": ("x^4 - 4*x^3 + 6*x^2 - 4*x + 1.000001",),
 }
 
 
@@ -349,6 +355,148 @@ def test_json_schema_fields(capsys):
         assert set(root) == {"label", "radical", "approx", "residual"}
         assert set(root["approx"]) == {"re", "im"}
     assert set(payload["verification"]) == {"factorization_ok", "oracle_match", "notes"}
+
+
+# -- the JSON writer against json.dumps -------------------------------------------
+
+
+def _coefficients_json(poly):
+    out = []
+    for deg in sorted(poly.coefficients, reverse=True):
+        value = poly.coefficients[deg]
+        if poly.exact:
+            frac = Fraction(value)
+            out.append({"deg": deg, "num": int(frac.numerator), "den": int(frac.denominator)})
+        else:
+            z = complex(value)
+            out.append({"deg": deg, "re": z.real, "im": z.imag})
+    return out
+
+
+def _report_json(poly, backend_name, records, values, report):
+    roots = []
+    for record, residual in zip(records, values):
+        roots.append(
+            {
+                "label": record.label,
+                "radical": render_radical(record),
+                "approx": {"re": record.approx.real, "im": record.approx.imag},
+                "residual": residual,
+            }
+        )
+    verification = None
+    if report is not None:
+        verification = {
+            "factorization_ok": report.factorization_ok,
+            "oracle_match": report.oracle_match,
+            "notes": report.notes,
+        }
+    return {
+        "degree": poly.degree,
+        "field": backend_name,
+        "coefficients": _coefficients_json(poly),
+        "roots": roots,
+        "verification": verification,
+    }
+
+
+def _reference_json(poly, backend_name, records, values, report):
+    """The document as the CLI wrote it through the payload and ``json.dumps``:
+    the reference for the fixed-schema writer."""
+    return json.dumps(_report_json(poly, backend_name, records, values, report), indent=2)
+
+
+@pytest.fixture
+def json_documents(monkeypatch):
+    """(written, reference) of every ``--format json`` document a run writes."""
+    documents = []
+    writer = cli._json_report
+
+    def spy(*args):
+        text = writer(*args)
+        documents.append((text, _reference_json(*args)))
+        return text
+
+    monkeypatch.setattr(cli, "_json_report", spy)
+    return documents
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_GOLDENS))
+def test_json_writer_matches_json_dumps_on_goldens(capsys, json_documents, name):
+    polynomial, *flags = BYTE_GOLDENS[name]
+    for verify in ([], ["--verify"]):
+        run(["solve", "--format", "json", *verify, *flags, "--", polynomial])
+    assert len(json_documents) == 2
+    for written, reference in json_documents:
+        assert written == reference
+    assert capsys.readouterr().out.startswith(json_documents[0][0] + "\n")
+
+
+def test_json_writer_matches_json_dumps_on_random_polynomials(capsys, json_documents):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exact = st.fractions(max_denominator=50).filter(lambda q: abs(q.numerator) <= 50)
+    decimal = st.integers(-5000, 5000).map(lambda n: f"{n / 1000:.3f}")
+
+    @st.composite
+    def polynomial(draw):
+        degree = draw(st.integers(1, 4))
+        coefficient = decimal if draw(st.booleans()) else exact.map(str)
+        lead = draw(coefficient.filter(lambda text: Fraction(text) != 0))
+        terms = [lead] + [draw(coefficient) for _ in range(degree)]
+        text = " + ".join(f"{c}*x^{degree - i}" for i, c in enumerate(terms))
+        return text.replace("+ -", "- ")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(polynomial(), st.sampled_from([[], ["--verify"], ["--field", "complex"]]))
+    def check(text, flags):
+        json_documents.clear()
+        code = run(["solve", "--format", "json", *flags, "--", text])
+        capsys.readouterr()
+        assert code != 2 and len(json_documents) == (code in (0, 5))
+        for written, reference in json_documents:
+            assert written == reference
+
+    check()
+
+
+def test_json_writer_matches_json_dumps_on_synthetic_reports():
+    poly = PolynomialInput(
+        variable="x", coefficients={4: 1e16, 2: -0.0, 0: 1e-05}, source="", exact=False
+    )
+    records = [
+        RootRecord("quoted \"label\" \u00e9\\", None, complex(1e-05, -0.0), lit(Fraction(-1, 3))),
+        RootRecord("b", None, complex(math.inf, math.nan), lit(7)),
+        RootRecord("c", None, complex(-math.inf, 1e16), lit(0)),
+        RootRecord("d", None, complex(1.5e-300, 2.5e300), lit(Fraction(22, 7))),
+    ]
+    values = [math.inf, math.nan, -0.0, 1e-05]
+
+    def report(**kwargs):
+        fields = dict(
+            residuals=values,
+            residuals_ok=True,
+            factorization_exact=None,
+            factorization_ok=True,
+            oracle_match=True,
+            notes=[],
+        )
+        return VerificationReport(**{**fields, **kwargs})
+
+    reports = [
+        None,
+        report(),
+        report(factorization_ok=False, oracle_match=False),
+        report(oracle_match=None, notes=["oracle did not converge within 200 iterations"]),
+        report(oracle_match=None, notes=["first", "second \u2014 \"quoted\""]),
+    ]
+    exact_poly = PolynomialInput(
+        variable="y", coefficients={3: Fraction(-7, 3), 1: Fraction(10**30), 0: 5}, source="", exact=True
+    )
+    for each_poly, field in ((poly, "complex"), (exact_poly, "exact"), (exact_poly, "complex")):
+        for each_report in reports:
+            args = (each_poly, field, records, values, each_report)
+            assert cli._json_report(*args) == _reference_json(*args)
 
 
 # -- argv grammar against the argparse reference ----------------------------------

@@ -5,6 +5,8 @@ import gc
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from radica import TowerField, render_radical, solve_cubic, solve_quadratic, solve_quartic
 from radica import radicals
 from radica.radicals import (
@@ -46,6 +48,66 @@ def test_literal_folding():
     assert rmul(lit(3), lit(Fraction(1, 3))) == Lit(1)
     assert rdiv(lit(-6), lit(-3)) == Lit(2)
     assert rneg(lit(Fraction(1, 2))) == Lit(Fraction(-1, 2))
+
+
+
+def _fraction_prec(q):
+    """``_prec`` of a literal as read from its ``Fraction``."""
+    if q < 0:
+        return radicals._PREC_ADD
+    return radicals._PREC_ATOM if q.denominator == 1 else radicals._PREC_MUL
+
+
+def test_folds_on_pairs_agree_with_fraction_arithmetic():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(max_denominator=10**12) | st.sampled_from(
+        [Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 7)]
+    )
+
+    def agree(node, want):
+        assert node.__class__ is Lit
+        assert render(node) == str(want)
+        assert radicals._prec(node) == _fraction_prec(want)
+        assert node == lit(want) and hash(node) == hash(lit(want))
+        assert repr(node) == repr(lit(want))
+        assert type(node.value) is Fraction and node.value == want
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(rationals, rationals, rationals)
+    def check(p, q, r):
+        agree(radd(lit(p), lit(q)), p + q)
+        agree(rsub(lit(p), lit(q)), p - q)
+        agree(rmul(lit(p), lit(q)), p * q)
+        agree(rneg(lit(p)), -p)
+        if q:
+            agree(rdiv(lit(p), lit(q)), p / q)
+            agree(rdiv(lit(p), rneg(lit(q))), p / -q)  # a negative divisor too
+        # folds of folded literals, whose value has not been read
+        agree(rmul(rsub(lit(p), lit(q)), radd(lit(q), lit(r))), (p - q) * (q + r))
+
+    check()
+
+
+def test_a_zero_literal_divisor_folds_only_a_zero_numerator():
+    assert rdiv(lit(0), lit(0)) == Lit(0)
+    assert rdiv(lit(1), lit(0)) == Div(Lit(1), Lit(0))
+
+
+def test_nodes_are_frozen_dataclasses():
+    folded = radd(lit(1), lit(Fraction(1, 2)))
+    nodes = [
+        folded, lit(2), Add(folded, lit(2)), Neg(folded), Mul(folded, folded),
+        Div(folded, lit(3)), Sqrt(folded), Cbrt(folded), OmegaPow(2),
+    ]
+    for node in nodes:
+        field = dataclasses.fields(node)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, lit(0))
+        assert node == dataclasses.replace(node) and hash(node) == hash(dataclasses.replace(node))
+    assert [f.name for f in dataclasses.fields(Div)] == ["num", "den"]
+    assert repr(folded) == "Lit(value=Fraction(3, 2))"
+    assert repr(Neg(lit(2))) == "Neg(child=Lit(value=Fraction(2, 1)))"
 
 
 def test_identity_folding():

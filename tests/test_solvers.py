@@ -621,9 +621,20 @@ def test_render_radical_pure_square_root():
     assert render_radical(recs[2]) == "-sqrt(5)"
 
 
-def test_records_are_self_consistent(rng):
-    from radica.solvers import record_self_consistent
+def record_self_consistent(record, tol=1e-9):
+    """True when the record's radical tree and exact value (if any) both
+    reproduce its numeric approximation within ``tol``."""
+    ok = abs(evaluate(record.radical) - record.approx) <= tol * max(
+        1.0, abs(record.approx)
+    )
+    if ok and record.exact is not None:
+        ok = abs(record.exact.to_complex() - record.approx) <= tol * max(
+            1.0, abs(record.approx)
+        )
+    return ok
 
+
+def test_records_are_self_consistent(rng):
     cases = [
         (3, (1, 2, -5, 1)),
         (3, (1, 0, -6, 9)),
@@ -642,8 +653,6 @@ def test_records_coherent_on_ill_conditioned_cubic():
     # tiny depressed c' makes -d/2 + r a difference of near-equal quantities;
     # the traced formula must switch to the companion cube root so the float
     # evaluation of the radical tree keeps its digits
-    from radica.solvers import record_self_consistent
-
     f = TowerField()
     coeffs = [f.from_rational(q) for q in (Fraction(10, 17), Fraction(-9, 7), Fraction(16, 17), Fraction(19, 11))]
     recs = solve_cubic(f, *coeffs)
@@ -653,8 +662,6 @@ def test_records_coherent_on_ill_conditioned_cubic():
 
 
 def test_records_coherent_on_negative_cube_root_case():
-    from radica.solvers import record_self_consistent
-
     f = TowerField()
     recs = solve_cubic(f, f.one, f.zero, f.zero, f.from_rational(8))
     assert f.as_rational(recs[0].exact) == -2

@@ -26,6 +26,7 @@ from radica import (
     verify_solution,
 )
 from radica.complexfield import approx_eq
+from radica.verifier import MatchResult, _chorner
 from radica.selftest import rand_fraction
 
 
@@ -192,6 +193,120 @@ def test_match_agrees_with_per_permutation_reference():
         assert (got.permutation, got.max_distance, got.matched) == _reference_match(a, b, tol)
         ties += len(set(a)) < n or len(set(b)) < n
     assert ties > 300
+
+
+
+# -- bit identity with the loops as they were before tightening -------------------
+
+
+def _reference_durand_kerner(coeffs, tol=1e-12, max_iter=200):
+    if len(coeffs) < 2:
+        raise ValueError("degree must be at least 1")
+    lead = complex(coeffs[0])
+    if lead == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    monic = [complex(c) / lead for c in coeffs]
+    n = len(monic) - 1
+    seed = 0.4 + 0.9j
+    roots = [seed**k for k in range(n)]
+    for _ in range(max_iter):
+        worst = 0.0
+        for i in range(n):
+            zi = roots[i]
+            den = 1 + 0j
+            for j in range(n):
+                if j != i:
+                    den *= zi - roots[j]
+            if den == 0:
+                den = complex(1e-40, 0.0)
+            corr = _chorner(monic, zi) / den
+            roots[i] = zi - corr
+            worst = max(worst, abs(corr))
+        if worst <= tol:
+            return roots
+    raise NoConvergence(roots, max_iter)
+
+
+def _reference_match_root_multisets(a, b, tol):
+    if len(a) != len(b):
+        raise ValueError("root lists must have equal length")
+    if len(a) > 4:
+        raise ValueError("at most four roots supported")
+    if not a:
+        return MatchResult(True, (), 0.0)
+    dist = [[abs(x - y) / max(1.0, abs(x), abs(y)) for y in b] for x in a]
+    best_perm = None
+    best_rel = math.inf
+    for perm in itertools.permutations(range(len(b))):
+        rel = max(row[p] for row, p in zip(dist, perm))
+        if rel < best_rel:
+            best_rel = rel
+            best_perm = perm
+    max_dist = max(abs(x - b[p]) for x, p in zip(a, best_perm))
+    matched = all(approx_eq(x, b[p], tol) for x, p in zip(a, best_perm))
+    return MatchResult(matched, best_perm, max_dist)
+
+
+def _bits(roots):
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+def _oracle_outcome(oracle, coeffs, max_iter):
+    """The roots by ``float.hex``, or those of the iterate ``NoConvergence`` carries."""
+    try:
+        return "converged", _bits(oracle(coeffs, max_iter=max_iter))
+    except NoConvergence as exc:
+        return "no convergence", exc.iterations, _bits(exc.roots)
+
+
+#: x^4 - 4x^3 + 6x^2 - 4x + 1.000001: four roots clustered at 1, on which the
+#: oracle does not converge in 200 iterations
+CLUSTERED_QUARTIC = [1.0, -4.0, 6.0, -4.0, 1.000001]
+
+
+def _complex_numbers(st):
+    parts = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, 1e-13])
+    return st.builds(complex, parts, parts)
+
+
+def test_durand_kerner_is_bit_identical_to_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient_lists = st.integers(1, 4).flatmap(
+        lambda n: st.lists(_complex_numbers(st), min_size=n + 1, max_size=n + 1)
+    ).filter(lambda coeffs: coeffs[0] != 0)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(coefficient_lists, st.sampled_from([1, 2, 200]))
+    @hypothesis.example(CLUSTERED_QUARTIC, 200)
+    @hypothesis.example(CLUSTERED_QUARTIC, 1)
+    def check(coeffs, max_iter):
+        assert _oracle_outcome(durand_kerner, coeffs, max_iter) == _oracle_outcome(
+            _reference_durand_kerner, coeffs, max_iter
+        )
+
+    check()
+    assert _oracle_outcome(durand_kerner, CLUSTERED_QUARTIC, 200)[0] == "no convergence"
+
+
+def test_match_root_multisets_is_identical_to_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # values drawn from a small pool repeat, which makes ties between permutations
+    numbers = _complex_numbers(st) | st.sampled_from([0j, 1 + 0j, 1j, 1e-13 + 0j, 1.0000001 + 0j])
+    root_lists = st.integers(0, 4).flatmap(
+        lambda n: st.tuples(*[st.lists(numbers, min_size=n, max_size=n)] * 2)
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(root_lists, st.sampled_from([1e-9, 1e-6, 0.5]))
+    def check(lists, tol):
+        got = match_root_multisets(*lists, tol)
+        want = _reference_match_root_multisets(*lists, tol)
+        assert got.matched is want.matched and got.permutation == want.permutation
+        assert got.max_distance.hex() == want.max_distance.hex()
+
+    check()
 
 
 # -- verify_solution ---------------------------------------------------------------
