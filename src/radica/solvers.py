@@ -17,12 +17,17 @@ elements.  There is one solver per degree, ``solve_linear`` to
 ``solve_quartic``, each taking leading-first general coefficients and
 returning root records; the solvers run the same formulas over
 ``_Traced``, a backend whose elements pair the wrapped backend's value
-with the radical tree that produced it.  By default the cubic and quartic
-solvers case-split on the backend's ``is_zero`` and cover every
-degenerate input; with ``strict=True`` they demand the paper's
+with the radical tree that produced it.  Over an exact backend that is
+``_PendingTraced``: depressing, the resolvent and Cardano's inner term are
+arithmetic in Q, so a rational value stays a literal, which the tree's
+literal fold computes exactly, and becomes a tower element only when it
+meets an irrational value, a root, ``to_complex`` or a record.  By
+default the cubic and quartic solvers case-split on ``is_zero`` and cover
+every degenerate input; with ``strict=True`` they demand the paper's
 nonzeroness hypotheses instead and raise ``StrictHypothesisViolation``.
-The case splits are only as faithful as ``is_zero``, which on a reducible
-tower can miss a zero (see ``FieldCapabilities`` and ROADMAP item 2).
+The case splits are only as faithful as the backend's ``is_zero``, which
+on a reducible tower can miss a zero (see ``FieldCapabilities`` and
+ROADMAP item 2); a rational value's test reads its literal.
 """
 
 from __future__ import annotations
@@ -89,7 +94,9 @@ class _TV:
 
 class _Traced(FieldCapabilities):
     """Field whose elements are ``_TV(value, expr)`` pairs: ``value`` lives in
-    the wrapped backend ``f`` and ``expr`` is its radical tree."""
+    the wrapped backend ``f`` and ``expr`` is its radical tree.  A float
+    part of a wrapped value shows as the literal of its shortest decimal
+    text.  ``_traced`` picks ``_PendingTraced`` for an exact backend."""
 
     def __init__(self, field):
         self.f = field
@@ -101,12 +108,10 @@ class _Traced(FieldCapabilities):
         if q is not None:
             return _TV(x, radicals.lit(q))
         z = self.f.to_complex(x)
-        expr = radicals.lit(Fraction(str(z.real)) if z.real else 0)
+        expr = radicals.decimal(z.real)
         if z.imag:
             unit = Sqrt(radicals.lit(-1))
-            expr = radicals.radd(
-                expr, radicals.rmul(radicals.lit(Fraction(str(z.imag))), unit)
-            )
+            expr = radicals.radd(expr, radicals.rmul(radicals.decimal(z.imag), unit))
         return _TV(x, expr)
 
     def from_rational(self, q):
@@ -156,14 +161,95 @@ class _Traced(FieldCapabilities):
             self._omega = _TV(self.f.omega(), OmegaPow(1))
         return self._omega
 
+    def record(self, label, tv):
+        """The root record of ``tv``."""
+        f = self.f
+        return RootRecord(
+            label=label,
+            exact=tv.value if f.is_exact else None,
+            approx=f.to_complex(tv.value),
+            radical=tv.expr,
+        )
 
-def _record(field, label, tv):
-    return RootRecord(
-        label=label,
-        exact=tv.value if field.is_exact else None,
-        approx=field.to_complex(tv.value),
-        radical=tv.expr,
-    )
+
+class _PendingTraced(_Traced):
+    """``_Traced`` over an exact backend, where a rational stays a literal
+    until it is read.
+
+    ``from_rational`` and ``wrap`` of a rational give a ``_TV`` whose
+    ``value`` is ``None``: pending.  Two pending operands combine by the
+    literal fold alone, which computes the exact value, and ``is_zero`` of
+    a pending value reads the literal's numerator.  The backend element is
+    made from the literal when a pending value meets a value that is not
+    pending, a root, ``to_complex`` or a record (``_read``).  The tree is
+    the same either way, and so is the element, as the normal form is
+    unique.
+    """
+
+    def _read(self, x):
+        """``x`` with its backend value made, if it is pending."""
+        if x.value is None:
+            return _TV(self.f.from_rational(x.expr.value), x.expr)
+        return x
+
+    def wrap(self, x):
+        q = self.f.as_rational(x)
+        if q is None:
+            return super().wrap(x)
+        return _TV(None, radicals.lit(q))
+
+    def from_rational(self, q):
+        return _TV(None, radicals.lit(q))
+
+    def to_complex(self, x):
+        return super().to_complex(self._read(x))
+
+    def is_zero(self, x):
+        if x.value is None:
+            return x.expr.n == 0
+        return self.f.is_zero(x.value)
+
+    def add(self, x, y):
+        if x.value is None and y.value is None:
+            return _TV(None, radicals.radd(x.expr, y.expr))
+        return super().add(self._read(x), self._read(y))
+
+    def sub(self, x, y):
+        if x.value is None and y.value is None:
+            return _TV(None, radicals.rsub(x.expr, y.expr))
+        return super().sub(self._read(x), self._read(y))
+
+    def neg(self, x):
+        if x.value is None:
+            return _TV(None, radicals.rneg(x.expr))
+        return super().neg(x)
+
+    def mul(self, x, y):
+        if x.value is None and y.value is None:
+            return _TV(None, radicals.rmul(x.expr, y.expr))
+        return super().mul(self._read(x), self._read(y))
+
+    def div(self, x, y):
+        if y.value is None:
+            if y.expr.n == 0:
+                raise ZeroDivisionError("division by zero")
+            if x.value is None:
+                return _TV(None, radicals.rdiv(x.expr, y.expr))
+        return super().div(self._read(x), self._read(y))
+
+    def sqrt(self, x):
+        return super().sqrt(self._read(x))
+
+    def cbrt(self, x):
+        return super().cbrt(self._read(x))
+
+    def record(self, label, tv):
+        return super().record(label, self._read(tv))
+
+
+def _traced(field):
+    """The trace backend over ``field``."""
+    return (_PendingTraced if field.is_exact else _Traced)(field)
 
 
 def _monic(field, a, *rest):
@@ -173,8 +259,8 @@ def _monic(field, a, *rest):
     return [field.mul(x, ainv) for x in rest]
 
 
-def _shifted_records(field, t, roots, shift):
-    return [_record(field, label, t.sub(tv, shift)) for label, tv in roots]
+def _shifted_records(t, roots, shift):
+    return [t.record(label, t.sub(tv, shift)) for label, tv in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +282,8 @@ def _quadratic_monic(f, b, c):
 
 def solve_linear(field, a, b):
     """The root -b/a of a*x + b (a != 0), as one record."""
-    t = _Traced(field)
-    return [_record(field, "linear", t.div(t.neg(t.wrap(b)), t.wrap(a)))]
+    t = _traced(field)
+    return [t.record("linear", t.div(t.neg(t.wrap(b)), t.wrap(a)))]
 
 
 def solve_quadratic(field, a, b, c):
@@ -208,12 +294,9 @@ def solve_quadratic(field, a, b, c):
     When the discriminant is zero the two roots coincide.
     """
     nb, nc = _monic(field, a, b, c)
-    t = _Traced(field)
+    t = _traced(field)
     plus, minus = _quadratic_monic(t, t.wrap(nb), t.wrap(nc))
-    return [
-        _record(field, "quadratic-plus", plus),
-        _record(field, "quadratic-minus", minus),
-    ]
+    return [t.record("quadratic-plus", plus), t.record("quadratic-minus", minus)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +421,7 @@ def solve_cubic(field, a, b, c, d, strict=False):
     is demanded in addition.
     """
     nb, nc, nd = _monic(field, a, b, c, d)
-    t = _Traced(field)
+    t = _traced(field)
     cp, dp, shift = depress_cubic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
     if strict:
         if t.is_zero(cp):
@@ -346,7 +429,7 @@ def solve_cubic(field, a, b, c, d, strict=False):
         if t.is_zero(dp):
             raise StrictHypothesisViolation("2b^3 - 9abc + 27a^2*d = 0")
     roots = list(_cubic_depressed_roots(t, cp, dp))
-    return _shifted_records(field, t, roots, shift)
+    return _shifted_records(t, roots, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +545,7 @@ def solve_quartic(field, a, b, c, d, e, strict=False):
     coefficient is -(c'**2 + 12e')/3); e' != 0 is demanded in addition.
     """
     nb, nc, nd, ne = _monic(field, a, b, c, d, e)
-    t = _Traced(field)
+    t = _traced(field)
     cp, dp, ep, shift = depress_quartic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd), t.wrap(ne))
     if strict:
         if t.is_zero(dp):
@@ -473,4 +556,4 @@ def solve_quartic(field, a, b, c, d, e, strict=False):
         roots = _quartic_depressed_roots(t, cp, dp, ep, strict)
     except ZeroLinearTerm:
         raise StrictHypothesisViolation("c'^2 + 12e' = 0 (resolvent hypothesis)") from None
-    return _shifted_records(field, t, roots, shift)
+    return _shifted_records(t, roots, shift)

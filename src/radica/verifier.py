@@ -36,19 +36,36 @@ def horner_eval(field, coeffs, x):
 
 
 def expand_monic_from_roots(field, roots):
-    """Leading-first coefficients of prod (x - r) by iterated convolution."""
-    if not 1 <= len(roots) <= 4:
+    """Leading-first coefficients of prod (x - r).
+
+    The last two roots, and for four roots the first two as well, are
+    multiplied out first, as x**2 - (r + s)*x + r*s.  A solver puts
+    conjugate roots next to each other, so their sum and product drop the
+    top radical before anything else multiplies them.  Three roots then
+    give (x - r1) times that quadratic, and four the product of the two
+    quadratics.  On an exact backend the coefficients are the same elements
+    in any order of the roots.
+    """
+    n = len(roots)
+    if not 1 <= n <= 4:
         raise ValueError("expected between one and four roots")
-    coeffs = [field.one]
-    for r in roots:
-        nxt = []
-        for i in range(len(coeffs) + 1):
-            term = coeffs[i] if i < len(coeffs) else field.zero
-            if i > 0:
-                term = field.sub(term, field.mul(r, coeffs[i - 1]))
-            nxt.append(term)
-        coeffs = nxt
-    return coeffs
+    add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
+    if n == 1:
+        return [field.one, neg(roots[0])]
+    b, c = neg(add(roots[-2], roots[-1])), mul(roots[-2], roots[-1])
+    if n == 2:
+        return [field.one, b, c]
+    if n == 3:
+        r = roots[0]
+        return [field.one, sub(b, r), sub(c, mul(r, b)), neg(mul(r, c))]
+    b1, c1 = neg(add(roots[0], roots[1])), mul(roots[0], roots[1])
+    return [
+        field.one,
+        add(b1, b),
+        add(add(c1, c), mul(b1, b)),
+        add(mul(b1, c), mul(b, c1)),
+        mul(c1, c),
+    ]
 
 
 class NoConvergence(ArithmeticError):

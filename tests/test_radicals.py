@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -58,6 +59,16 @@ def _fraction_prec(q):
     return radicals._PREC_ATOM if q.denominator == 1 else radicals._PREC_MUL
 
 
+def _agree(node, want):
+    """``node`` is the literal ``lit(want)`` in every respect the trees read."""
+    assert node.__class__ is Lit
+    assert render(node) == str(want)
+    assert radicals._prec(node) == _fraction_prec(want)
+    assert node == lit(want) and hash(node) == hash(lit(want))
+    assert repr(node) == repr(lit(want))
+    assert type(node.value) is Fraction and node.value == want
+
+
 def test_folds_on_pairs_agree_with_fraction_arithmetic():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -65,28 +76,42 @@ def test_folds_on_pairs_agree_with_fraction_arithmetic():
         [Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 7)]
     )
 
-    def agree(node, want):
-        assert node.__class__ is Lit
-        assert render(node) == str(want)
-        assert radicals._prec(node) == _fraction_prec(want)
-        assert node == lit(want) and hash(node) == hash(lit(want))
-        assert repr(node) == repr(lit(want))
-        assert type(node.value) is Fraction and node.value == want
-
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(rationals, rationals, rationals)
     def check(p, q, r):
-        agree(radd(lit(p), lit(q)), p + q)
-        agree(rsub(lit(p), lit(q)), p - q)
-        agree(rmul(lit(p), lit(q)), p * q)
-        agree(rneg(lit(p)), -p)
+        _agree(radd(lit(p), lit(q)), p + q)
+        _agree(rsub(lit(p), lit(q)), p - q)
+        _agree(rmul(lit(p), lit(q)), p * q)
+        _agree(rneg(lit(p)), -p)
         if q:
-            agree(rdiv(lit(p), lit(q)), p / q)
-            agree(rdiv(lit(p), rneg(lit(q))), p / -q)  # a negative divisor too
+            _agree(rdiv(lit(p), lit(q)), p / q)
+            _agree(rdiv(lit(p), rneg(lit(q))), p / -q)  # a negative divisor too
         # folds of folded literals, whose value has not been read
-        agree(rmul(rsub(lit(p), lit(q)), radd(lit(q), lit(r))), (p - q) * (q + r))
+        _agree(rmul(rsub(lit(p), lit(q)), radd(lit(q), lit(r))), (p - q) * (q + r))
 
     check()
+
+
+def test_decimal_literals_agree_with_the_fraction_of_the_float_text():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [1e-05, 1e16, 1e-7, 5e-324, 2.225073858507201e-308, 0.1, -0.0, 0.0, 123.456, 1.5e300]
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(floats)
+    def check(x):
+        _agree(radicals.decimal(x), Fraction(str(x)))
+        _agree(radicals.decimal(-x), Fraction(str(-x)))
+
+    check()
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError) as want:
+            Fraction(str(x))
+        with pytest.raises(ValueError) as got:
+            radicals.decimal(x)
+        assert str(got.value) == str(want.value)
 
 
 def test_a_zero_literal_divisor_folds_only_a_zero_numerator():

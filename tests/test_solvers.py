@@ -1,6 +1,7 @@
 """Solver formulas: depressions, Cardano, the quartic split, records."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from radica import (
     ComplexField,
     DegenerateLeadingTerm,
     ReducibleExtensionError,
+    RootRecord,
     StrictHypothesisViolation,
     TowerElement,
     TowerField,
@@ -22,14 +24,17 @@ from radica import (
     render_radical,
     resolvent_coeffs,
     solve_cubic,
+    solve_linear,
     solve_quadratic,
     solve_quartic,
     verify_solution,
 )
+from radica import radicals, solvers
 from radica.complexfield import csqrt_principal
-from radica.radicals import evaluate, render
+from radica.fields import FieldCapabilities
+from radica.radicals import Cbrt, OmegaPow, Sqrt, evaluate, render
 from radica.selftest import rand_fraction
-from radica.solvers import _cubic_depressed_roots, _Traced
+from radica.solvers import _TV, _PendingTraced, _cubic_depressed_roots, _traced
 
 
 def _multiset(records, digits=9):
@@ -198,7 +203,7 @@ def test_shared_cardano_base_matches_one_branch_entry(c, d):
     fc, fd = f.from_rational(c), f.from_rational(d)
     shared = [u for _, u in _cubic_depressed_roots(f, fc, fd)]
     assert shared == [cardano_root(f, fc, fd, k) for k in range(3)]
-    t = _Traced(TowerField())
+    t = _traced(TowerField())
     tc, td = t.from_rational(c), t.from_rational(d)
     shared = [render(u.expr) for _, u in _cubic_depressed_roots(t, tc, td)]
     assert shared == [render(cardano_root(t, tc, td, k).expr) for k in range(3)]
@@ -221,12 +226,19 @@ def test_exact_cubic_takes_one_cube_root(monkeypatch):
 
 
 class _ZeroTestCounter(TowerField):
+    """Counts the backend's zero tests, and of those the ones made outside
+    the trace backend's ``is_zero`` (``_monic``'s test of the leading
+    coefficient)."""
+
     def __init__(self):
         super().__init__()
         self.zero_tests = 0
+        self.untraced_zero_tests = 0
+        self.in_tracer = False
 
     def is_zero(self, x):
         self.zero_tests += 1
+        self.untraced_zero_tests += not self.in_tracer
         return super().is_zero(x)
 
 
@@ -240,11 +252,31 @@ class _ZeroTestCounter(TowerField):
         (solve_quartic, (3, -1, 2, 5, -7), 7, 8),
     ],
 )
-def test_each_case_split_tests_its_element_once(solve, coeffs, total, strict):
+def test_each_case_split_tests_its_element_once(monkeypatch, solve, coeffs, total, strict):
+    """Zero tests are counted where the formulas make them, at the trace
+    backend, plus ``_monic``'s on the backend.  A rational value's test
+    reads its literal and never reaches the backend: the cubic's c' and d'
+    are rational, and so are the quartic's d', e' and resolvent."""
+    traced = []
+    real = _PendingTraced.is_zero
+
+    def counted(self, x):
+        traced.append(x)
+        self.f.in_tracer = True
+        try:
+            return real(self, x)
+        finally:
+            self.f.in_tracer = False
+
+    monkeypatch.setattr(_PendingTraced, "is_zero", counted)
+    backend = {solve_cubic: 1, solve_quartic: 4}[solve]
     for is_strict, want in ((False, total), (True, strict)):
+        traced.clear()
         f = _ZeroTestCounter()
         solve(f, *(f.from_rational(q) for q in coeffs), strict=is_strict)
-        assert f.zero_tests == want
+        assert len(traced) + f.untraced_zero_tests == want
+        assert f.untraced_zero_tests == 1
+        assert f.zero_tests == backend
 
 
 # -- total cubic solvers ---------------------------------------------------------
@@ -771,3 +803,216 @@ def test_exact_solves_never_invert_a_zero_divisor():
         assert report.residuals_ok and report.factorization_ok, (coeffs, strict)
         strict_solved += strict
     assert strict_solved >= len(polys) // 2
+
+
+# -- pending rationals against the eager trace backend -----------------------------
+#
+# ``_ReferenceTraced`` and ``_reference_record`` are the trace backend and the
+# record builder as they were before a rational value stayed a literal until
+# read, kept verbatim: each solve must give the same records through both.
+
+
+class _ReferenceTraced(FieldCapabilities):
+    """Field whose elements are ``_TV(value, expr)`` pairs: ``value`` lives in
+    the wrapped backend ``f`` and ``expr`` is its radical tree."""
+
+    def __init__(self, field):
+        self.f = field
+        self._omega = None
+        self._lits = {}
+
+    def wrap(self, x):
+        q = self.f.as_rational(x)
+        if q is not None:
+            return _TV(x, radicals.lit(q))
+        z = self.f.to_complex(x)
+        expr = radicals.lit(Fraction(str(z.real)) if z.real else 0)
+        if z.imag:
+            unit = Sqrt(radicals.lit(-1))
+            expr = radicals.radd(
+                expr, radicals.rmul(radicals.lit(Fraction(str(z.imag))), unit)
+            )
+        return _TV(x, expr)
+
+    def from_rational(self, q):
+        tv = self._lits.get(q)
+        if tv is None:
+            tv = _TV(self.f.from_rational(q), radicals.lit(q))
+            self._lits[q] = tv
+        return tv
+
+    def to_complex(self, x):
+        return self.f.to_complex(x.value)
+
+    def is_zero(self, x):
+        return self.f.is_zero(x.value)
+
+    def add(self, x, y):
+        return _TV(self.f.add(x.value, y.value), radicals.radd(x.expr, y.expr))
+
+    def sub(self, x, y):
+        return _TV(self.f.sub(x.value, y.value), radicals.rsub(x.expr, y.expr))
+
+    def neg(self, x):
+        return _TV(self.f.neg(x.value), radicals.rneg(x.expr))
+
+    def mul(self, x, y):
+        return _TV(self.f.mul(x.value, y.value), radicals.rmul(x.expr, y.expr))
+
+    def div(self, x, y):
+        return _TV(self.f.div(x.value, y.value), radicals.rdiv(x.expr, y.expr))
+
+    def sqrt(self, x):
+        return _TV(self.f.sqrt(x.value), Sqrt(x.expr))
+
+    def cbrt(self, x):
+        value = self.f.cbrt(x.value)
+        q = self.f.as_rational(x.value)
+        if q is not None and q < 0:
+            # the exact backend takes the real (sign-preserving) cube root of
+            # a negative rational, which the principal branch would not match
+            root = self.f.as_rational(value)
+            if root is not None:
+                return _TV(value, radicals.lit(root))
+        return _TV(value, Cbrt(x.expr))
+
+    def omega(self):
+        if self._omega is None:
+            self._omega = _TV(self.f.omega(), OmegaPow(1))
+        return self._omega
+
+
+def _reference_record(field, label, tv):
+    return RootRecord(
+        label=label,
+        exact=tv.value if field.is_exact else None,
+        approx=field.to_complex(tv.value),
+        radical=tv.expr,
+    )
+
+
+class _ReferenceTracedRecords(_ReferenceTraced):
+    """The reference with the record builder the solvers call."""
+
+    def record(self, label, tv):
+        return _reference_record(self.f, label, tv)
+
+
+def _solve_any(field, coeffs, strict):
+    """The records of a solve, or the type and text of what it raised."""
+    solve = {2: solve_linear, 3: solve_quadratic, 4: solve_cubic, 5: solve_quartic}[len(coeffs)]
+    extra = {"strict": strict} if len(coeffs) > 3 else {}
+    try:
+        return solve(field, *coeffs, **extra)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_solve(monkeypatch, field, coeffs, strict=False):
+    """Solve ``coeffs`` (backend elements) through the reference trace
+    backend and then through the solvers' own, in the same session: the
+    labels, exact elements, approximations to the bit, rendered radicals
+    and exceptions must agree, and the second solve adjoins no level."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_traced", _ReferenceTracedRecords)
+        want = _solve_any(field, coeffs, strict)
+    depth = field.tower.depth if field.is_exact else 0
+    got = _solve_any(field, coeffs, strict)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert [r.label for r in got] == [r.label for r in want]
+    assert [r.exact for r in got] == [r.exact for r in want]
+    hexes = [(r.approx.real.hex(), r.approx.imag.hex()) for r in want]
+    assert [(r.approx.real.hex(), r.approx.imag.hex()) for r in got] == hexes
+    assert [render_radical(r) for r in got] == [render_radical(r) for r in want]
+    if field.is_exact:
+        assert field.tower.depth == depth
+
+
+def _exact_coeffs(qs, irrational=None):
+    """A session and the rationals ``qs`` as its elements, with sqrt(2)
+    added to the coefficient at index ``irrational``."""
+    f = TowerField()
+    coeffs = [f.from_rational(q) for q in qs]
+    if irrational is not None:
+        coeffs[irrational] = f.add(coeffs[irrational], f.sqrt(f.from_rational(2)))
+    return f, coeffs
+
+
+def test_pending_solves_match_the_eager_reference(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    polynomials = st.integers(2, 5).flatmap(lambda n: st.lists(rationals, min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None)
+    @hypothesis.given(polynomials, st.booleans())
+    def check(qs, strict):
+        _assert_same_solve(monkeypatch, *_exact_coeffs(qs), strict)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "qs",
+    [
+        (0, 5),  # a zero leading coefficient: a pending division by zero
+        (0, 1, 2),
+        (1, 3, 3, 5),  # c' = 0
+        (1, 3, -1, -3),  # d' = 0
+        (1, 0, 0, -8),  # the cube roots of a rational
+        (1, 0, 0, 8),  # the real cube root of a negative rational
+        (1, 0, -7, 6),  # rational roots, reducible cube-root level
+        (2, -5, -4, 3),  # 2(x - 1/2)(x + 1)(x - 3)
+        (1, -3, 3, -1),  # a triple root
+        (1, 0, -5, 0, 4),  # biquadratic
+        (1, 4, 1, -6, 0),  # biquadratic after the shift
+        (1, -8, 24, -32, 16),  # a fourfold root
+        (1, 0, 0, 1, 0),  # c'^2 + 12e' = 0 and e' = 0
+        (1, 0, 0, 0, 0),
+        (1, -10, 35, -50, 24),  # four rational roots
+        (3, -1, 2, 5, -7),
+    ],
+)
+@pytest.mark.parametrize("strict", [False, True])
+def test_pending_solves_match_the_eager_reference_on_degenerate_input(monkeypatch, qs, strict):
+    _assert_same_solve(monkeypatch, *_exact_coeffs(qs), strict)
+
+
+@pytest.mark.parametrize(
+    "qs, irrational",
+    [((1, 0), 1), ((1, -2, 1), 1), ((1, 0, -2), 0), ((1, 0, -3, 1), 3), ((1, 1, 0, -1), 2)],
+)
+def test_pending_solves_match_the_eager_reference_on_irrational_input(monkeypatch, qs, irrational):
+    """A wrapped irrational element keeps its value, under a literal tree
+    read from its float embedding, and meets the pending rationals."""
+    _assert_same_solve(monkeypatch, *_exact_coeffs(qs, irrational))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_complex_solves_match_the_eager_reference(monkeypatch, strict):
+    rng = random.Random(19)
+    for degree in (1, 2, 3, 4):
+        for _ in range(15):
+            qs = [round(rng.uniform(-5, 5), rng.choice((0, 3, 17))) for _ in range(degree + 1)]
+            qs[0] = qs[0] or 1.0
+            coeffs = [complex(q) for q in qs]
+            f = ComplexField(scale=max(abs(z) for z in coeffs))
+            _assert_same_solve(monkeypatch, f, coeffs, strict)
+
+
+def test_a_pending_division_by_zero_raises():
+    t = _traced(TowerField())
+    zero, one = t.from_rational(0), t.from_rational(1)
+    assert zero.value is None and t.is_zero(zero)
+    root = t.sqrt(t.from_rational(2))
+    for x in (one, zero, root, t.wrap(t.f.from_rational(3))):
+        with pytest.raises(ZeroDivisionError):
+            t.div(x, zero)
+        with pytest.raises(ZeroDivisionError):
+            t.div(x, t.sub(one, one))
+    # a wrapped irrational is not pending, though its tree is a literal
+    g = t.f.sqrt(t.f.from_rational(3))
+    wrapped = t.wrap(g)
+    assert wrapped.value is g and wrapped.expr.__class__ is radicals.Lit

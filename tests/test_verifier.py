@@ -21,6 +21,7 @@ from radica import (
     real_preferring_cbrt,
     residuals,
     solve_cubic,
+    solve_linear,
     solve_quadratic,
     solve_quartic,
     verify_solution,
@@ -73,6 +74,86 @@ def test_expand_evaluation_coherence_random(rng):
         coeffs = expand_monic_from_roots(f, roots)
         for r in roots:
             assert f.is_zero(horner_eval(f, coeffs, r))
+
+
+def _reference_expand(field, roots):
+    """``expand_monic_from_roots`` by iterated convolution, as it was before
+    conjugate pairs were expanded first, kept verbatim as the reference."""
+    if not 1 <= len(roots) <= 4:
+        raise ValueError("expected between one and four roots")
+    coeffs = [field.one]
+    for r in roots:
+        nxt = []
+        for i in range(len(coeffs) + 1):
+            term = coeffs[i] if i < len(coeffs) else field.zero
+            if i > 0:
+                term = field.sub(term, field.mul(r, coeffs[i - 1]))
+            nxt.append(term)
+        coeffs = nxt
+    return coeffs
+
+
+def test_expansion_of_solved_roots_matches_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    leads = rationals.filter(bool)
+    polynomials = st.integers(1, 4).flatmap(
+        lambda n: st.tuples(leads, st.lists(rationals, min_size=n, max_size=n))
+    )
+    solvers = {2: solve_linear, 3: solve_quadratic, 4: solve_cubic, 5: solve_quartic}
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(polynomials, st.randoms(use_true_random=False))
+    def check(poly, rng):
+        f = TowerField()
+        coeffs = [f.from_rational(q) for q in (poly[0], *poly[1])]
+        roots = [rec.exact for rec in solvers[len(coeffs)](f, *coeffs)]
+        want = _reference_expand(f, roots)
+        assert expand_monic_from_roots(f, roots) == want
+        rng.shuffle(roots)
+        assert expand_monic_from_roots(f, roots) == want
+
+    check()
+
+
+def test_expansion_of_tower_elements_matches_the_reference():
+    """Arbitrary elements of a tower with square and cube root levels, in
+    every order, expand to the reference's elements."""
+    rng = random.Random(19)
+    f = TowerField()
+    gens = [
+        f.sqrt(f.from_rational(2)),
+        f.cbrt(f.from_rational(Fraction(3, 5))),
+        f.sqrt(f.from_rational(-3)),
+    ]
+    gens.append(f.sqrt(f.add(f.from_rational(1), gens[0])))
+    monomials = [f.one, *gens, f.mul(gens[1], gens[1]), f.mul(gens[0], gens[3])]
+
+    def element():
+        x = f.zero
+        for m in rng.sample(monomials, rng.randint(0, 3)):
+            x = f.add(x, f.mul(f.from_rational(rand_fraction(rng, 9)), m))
+        return x
+
+    for _ in range(40):
+        roots = [element() for _ in range(rng.randint(1, 4))]
+        want = _reference_expand(f, roots)
+        for perm in itertools.permutations(roots):
+            assert expand_monic_from_roots(f, list(perm)) == want
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            expand_monic_from_roots(f, [f.one] * n)
+
+
+def test_expansion_in_complex_doubles_matches_the_reference_to_rounding():
+    rng = random.Random(19)
+    f = ComplexField()
+    for _ in range(200):
+        roots = [complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(rng.randint(1, 4))]
+        want = _reference_expand(f, roots)
+        got = expand_monic_from_roots(f, roots)
+        assert all(approx_eq(x, y, 1e-12) for x, y in zip(got, want)) and len(got) == len(want)
 
 
 # -- Durand-Kerner oracle --------------------------------------------------------
