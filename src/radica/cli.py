@@ -2,17 +2,22 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 unsupported degree (0 or
 above 4), 4 backend failure (including paper-strict rejections and values
-beyond float range), 5 verification failure.
+beyond float range), 5 verification failure, 141 (128 + SIGPIPE) when the
+reader of standard output has gone, as with ``| head -n 2``; the output
+that did not fit is dropped without a traceback.
 
 ``--format json`` writes one document per solve, byte for byte what
 ``json.dumps(payload, indent=2)`` writes for the payload of degree, field,
-coefficients, roots and verification, without building the payload.
+coefficients, roots and verification, without building the payload.  The
+radical text goes in unescaped: it is made of characters that JSON writes
+as they are.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +41,7 @@ EXIT_PARSE = 2
 EXIT_DEGREE = 3
 EXIT_BACKEND = 4
 EXIT_VERIFY = 5
+EXIT_PIPE = 141
 
 
 class ParseError(ValueError):
@@ -61,59 +67,43 @@ class PolynomialInput:
         return max(self.coefficients) if self.coefficients else 0
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return ""
-
-    def scan_digits(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def scan_number(self):
-        """An unsigned integer or decimal; returns (text, is_decimal)."""
-        self.skip_ws()
-        start = self.pos
-        digits = self.scan_digits()
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            frac = self.scan_digits()
-            if not digits and not frac:
-                raise ParseError("malformed number", start)
-            return self.text[start : self.pos], True
-        if not digits:
-            raise ParseError("expected a number", start)
-        return digits, False
-
-    def scan_ident(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or not (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-        ):
-            raise ParseError("expected a variable name", start)
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalpha()
-            or self.text[self.pos].isdecimal()
-            or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
+#: One term, each part optional so that the groups show where the term stops
+#: fitting the grammar: 1 the sign and the spaces after it, 2 the
+#: coefficient, 3 its '/', 4 the denominator, 5 the '*' and the spaces after
+#: it, 6 the variable name, 7 its '^' and 8 the exponent.  A part takes the
+#: spaces after it.  ``\s`` and ``\d`` match what ``str.isspace`` and
+#: ``str.isdecimal`` accept; ``\w`` also takes numerals that are not decimal
+#: digits, such as "²", which ``_name_length`` cuts from the name.
+_TERM = re.compile(
+    r"([+-]?\s*)"
+    r"(?:(\d+(?:\.\d*)?|\.\d*)\s*(?:(/)\s*(\d*(?:\.\d*)?)\s*)?(\*\s*)?)?"
+    r"(?:([^\W\d]\w*)\s*(?:(\^)\s*(\d*(?:\.\d*)?)\s*)?)?"
+)
 
 _MAX_EXPONENT = 10**9
+
+
+def _name_length(name):
+    """How much of ``name`` is the variable name: letters, decimal digits and
+    '_', the first of them not a digit."""
+    if name.isascii():
+        return len(name)
+    for i, ch in enumerate(name):
+        if not (ch.isalpha() or ch.isdecimal() or ch == "_"):
+            return i
+    return len(name)
+
+
+def _is_decimal(number, pos):
+    """Whether the unsigned ``number`` read at ``pos`` has a decimal point;
+    one without digits is a parse error there."""
+    if "." in number:
+        if number == ".":
+            raise ParseError("malformed number", pos)
+        return True
+    if not number:
+        raise ParseError("expected a number", pos)
+    return False
 
 
 def parse_polynomial(text):
@@ -122,90 +112,91 @@ def parse_polynomial(text):
     Coefficients are integers, rationals ``a/b``, or decimals (decimals
     mark the input as inexact).  Whitespace is insignificant, each term
     takes at most one sign, the variable name must be consistent, and
-    like-degree terms are summed.
+    like-degree terms are summed.  Each term is one match of ``_TERM``; a
+    parse error gives the offset where the text stops fitting the grammar.
     """
-    sc = _Scanner(text)
-    coefficients = {}
+    end = len(text)
+    start = pos = end - len(text.lstrip())  # lstrip strips what str.isspace accepts
+    if pos == end:
+        raise ParseError("empty input", pos)
+    # degree -> the sum so far: an exact pair (n, d), or a float once a
+    # decimal term meets it, added as Fraction and float would add
+    sums = {}
     variable = None
     exact = True
-    if sc.peek() == "":
-        raise ParseError("empty input", sc.pos)
-    first = True
-    while True:
-        sc.skip_ws()
-        if sc.pos >= len(text):
-            break
-        sign = 1
-        ch = sc.peek()
-        if ch in "+-":
-            sign = -1 if ch == "-" else 1
-            sc.pos += 1
-            sc.skip_ws()
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", sc.pos)
-        first = False
-        ch = sc.peek()
-        if ch in "+-" or ch == "":
-            raise ParseError("expected a term", sc.pos)
-
-        coef = None
-        is_decimal = False
-        if ch.isdecimal() or ch == ".":
-            num_text, is_decimal = sc.scan_number()
-            if is_decimal:
-                coef = float(num_text)
-                if not math.isfinite(coef):
-                    raise ParseError("coefficient is not finite", sc.pos)
+    while pos < end:
+        m = _TERM.match(text, pos)
+        sign, coef, slash, den, star, name, caret, exp = m.groups()
+        if sign:
+            if m.end(1) == end or text[m.end(1)] in "+-":
+                raise ParseError("expected a term", m.end(1))
+        elif pos != start:
+            raise ParseError("expected '+' or '-' between terms", pos)
+        n = d = 1
+        if coef is not None:
+            if _is_decimal(coef, m.start(2)):
+                n = float(coef)
+                if not math.isfinite(n):
+                    raise ParseError("coefficient is not finite", m.end(2))
                 exact = False
+                if slash:
+                    raise ParseError("decimal coefficients take no denominator", m.start(3))
             else:
-                coef = Fraction(int(num_text))
-            if sc.peek() == "/":
-                if is_decimal:
-                    raise ParseError("decimal coefficients take no denominator", sc.pos)
-                sc.pos += 1
-                den_pos = sc.pos
-                den_text, den_decimal = sc.scan_number()
-                if den_decimal:
-                    raise ParseError("denominator must be an integer", den_pos)
-                if int(den_text) == 0:
-                    raise ParseError("zero denominator", den_pos)
-                coef = Fraction(int(num_text), int(den_text))
-            if sc.peek() == "*":
-                sc.pos += 1
-                sc.skip_ws()
-                if not (sc.peek().isalpha() or sc.peek() == "_"):
-                    raise ParseError("expected a variable after '*'", sc.pos)
-
+                n = int(coef)
+                if slash:
+                    if _is_decimal(den, m.start(4)):
+                        raise ParseError("denominator must be an integer", m.end(3))
+                    d = int(den)
+                    if d == 0:
+                        raise ParseError("zero denominator", m.end(3))
+        cut = None
+        if name is not None:
+            length = _name_length(name)
+            if length < len(name):  # no term goes on after the numeral
+                cut = m.start(6) + length
+                name = name[:length] or None
         degree = 0
-        ch = sc.peek()
-        if ch.isalpha() or ch == "_":
-            name_pos = sc.pos
-            name = sc.scan_ident()
+        if name is None:
+            if star:
+                raise ParseError("expected a variable after '*'", m.end(5))
+            if coef is None:
+                raise ParseError("expected a coefficient or variable", m.end(1))
+        else:
             if variable is None:
                 variable = name
             elif name != variable:
-                raise ParseError(f"inconsistent variable name '{name}'", name_pos)
+                raise ParseError(f"inconsistent variable name '{name}'", m.start(6))
             degree = 1
-            if sc.peek() == "^":
-                sc.pos += 1
-                exp_pos = sc.pos
-                exp_text, exp_decimal = sc.scan_number()
-                if exp_decimal:
-                    raise ParseError("exponent must be a nonnegative integer", exp_pos)
-                if len(exp_text) > 10 or int(exp_text) > _MAX_EXPONENT:
-                    raise ParseError("exponent overflow", exp_pos)
-                degree = int(exp_text)
-        elif coef is None:
-            raise ParseError("expected a coefficient or variable", sc.pos)
+        if cut is not None:
+            raise ParseError("expected '+' or '-' between terms", cut)
+        if caret:
+            exp_pos = m.end(7)
+            if _is_decimal(exp, m.start(8)):
+                raise ParseError("exponent must be a nonnegative integer", exp_pos)
+            if len(exp) > 10 or int(exp) > _MAX_EXPONENT:
+                raise ParseError("exponent overflow", exp_pos)
+            degree = int(exp)
+        pos = m.end()
 
-        if coef is None:
-            coef = Fraction(1)
-        value = coef if sign > 0 else -coef
-        coefficients[degree] = coefficients.get(degree, 0) + value
+        if sign[:1] == "-":
+            n = -n
+        old = sums.get(degree, 0)
+        if n.__class__ is float:
+            sums[degree] = (old[0] / old[1] if old.__class__ is tuple else old) + n
+        elif old.__class__ is tuple:
+            sums[degree] = old[0] * d + n * old[1], old[1] * d
+        elif old.__class__ is float:
+            sums[degree] = old + n / d
+        else:
+            sums[degree] = n, d
 
-    coefficients = {d: v for d, v in coefficients.items() if v != 0}
-    if not exact:
-        coefficients = {d: float(v) for d, v in coefficients.items()}
+    coefficients = {}
+    for degree, value in sums.items():
+        if value.__class__ is float:
+            if value:
+                coefficients[degree] = value
+        elif value[0]:
+            coefficients[degree] = Fraction(*value) if exact else value[0] / value[1]
     return PolynomialInput(
         variable=variable or "x",
         coefficients=coefficients,
@@ -258,7 +249,9 @@ def _json_report(poly, backend_name, records, values, report):
     ``json.dumps(payload, indent=2)`` writes for the payload of degree,
     field, coefficients, roots and verification, written as f-strings in
     that layout, each value as JSON text.  A document has at least one
-    coefficient and one root."""
+    coefficient and one root.  Radical text goes in as it is: it is made of
+    digits, spaces, ``-/+*^()`` and the letters of sqrt, cbrt and omega,
+    none of which JSON escapes."""
     from json.encoder import encode_basestring_ascii as quote
 
     coefficients = []
@@ -283,7 +276,7 @@ def _json_report(poly, backend_name, records, values, report):
         f"""\
     {{
       "label": {quote(record.label)},
-      "radical": {quote(render_radical(record))},
+      "radical": "{render_radical(record)}",
       "approx": {{
         "re": {_json_float(record.approx.real)},
         "im": {_json_float(record.approx.imag)}
@@ -551,7 +544,16 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: as the SIGPIPE note in Python's signal docs
+        # does, point stdout at devnull, so that the flush at exit does not
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ integer pairs in lowest terms (so a tree shows `9/2 + sqrt(49/4)` rather
 than the unevaluated rational plumbing), and products of omega powers, but
 keep root nodes symbolic.  ``decimal`` reads a float's literal from its
 shortest text.
-Rendering is deterministic and parenthesized-unambiguously, and a node
-keeps its own text once rendered; evaluating a tree over complex doubles
-with principal branches reproduces the root's numeric approximation.
+Rendering is deterministic and parenthesized-unambiguously, writes only
+digits, spaces, ``-/+*^()`` and the letters of sqrt, cbrt and omega (so
+JSON needs no escape in it), and a node keeps its own text once rendered;
+evaluating a tree over complex doubles with principal branches reproduces
+the root's numeric approximation.
 """
 
 from __future__ import annotations
@@ -148,25 +150,43 @@ def decimal(x):
     shift = int(exp or 0) - len(frac)
     if shift >= 0:
         return _pair(n * 10**shift, 1)
-    return _fold(n, 10**-shift)
-
-
-def _fold(n, d):
-    """The literal n/d, d != 0, brought to lowest terms with d > 0."""
+    d = 10**-shift
     g = gcd(n, d)
-    if d < 0:
-        g = -g
     return _pair(n // g, d // g)
 
 
-# The smart constructors fold two literals on their pairs, one gcd per fold,
-# and drop the identities 0 and 1.
+# The smart constructors fold two literals on their pairs, which are in
+# lowest terms, and drop the identities 0 and 1.  A fold cancels before it
+# multiplies (Henrici; Knuth, TAOCP vol. 2, 4.5.1), so its gcds take the
+# operands rather than their products, and its result is in lowest terms
+# with nothing left to divide out.
+
+
+def _sum(n1, d1, n2, d2):
+    """The literal n1/d1 + n2/d2 of two pairs in lowest terms."""
+    g = gcd(d1, d2)
+    if g == 1:
+        return _pair(n1 * d2 + n2 * d1, d1 * d2)
+    d1 //= g
+    t = n1 * (d2 // g) + n2 * d1
+    g = gcd(t, g)
+    return _pair(t // g, d1 * (d2 // g))
+
+
+def _product(n1, d1, n2, d2):
+    """The literal (n1/d1) * (n2/d2) of two pairs in lowest terms, d2 != 0;
+    the sign of d2 moves to the numerator."""
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+    if d < 0:
+        return _pair(-n, -d)
+    return _pair(n, d)
 
 
 def radd(a, b):
     if a.__class__ is Lit:
         if b.__class__ is Lit:
-            return _fold(a.n * b.d + b.n * a.d, a.d * b.d)
+            return _sum(a.n, a.d, b.n, b.d)
         if a.n == 0:
             return b
     elif b.__class__ is Lit and b.n == 0:
@@ -184,14 +204,14 @@ def rneg(a):
 
 def rsub(a, b):
     if a.__class__ is Lit and b.__class__ is Lit:
-        return _fold(a.n * b.d - b.n * a.d, a.d * b.d)
+        return _sum(a.n, a.d, -b.n, b.d)
     return radd(a, rneg(b))
 
 
 def rmul(a, b):
     if a.__class__ is Lit:
         if b.__class__ is Lit:
-            return _fold(a.n * b.n, a.d * b.d)
+            return _product(a.n, a.d, b.n, b.d)
         if a.n == 0:
             return _pair(0, 1)
         if a.n == a.d:
@@ -210,7 +230,7 @@ def rmul(a, b):
 def rdiv(a, b):
     if b.__class__ is Lit and b.n:
         if a.__class__ is Lit:
-            return _fold(a.n * b.d, a.d * b.n)
+            return _product(a.n, a.d, b.d, b.n)
         if b.n == b.d:
             return a
     if a.__class__ is Lit and a.n == 0:

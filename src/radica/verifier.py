@@ -15,7 +15,6 @@ provider, while the corrected t = c/(3s) form never does.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -130,12 +129,34 @@ class MatchResult:
     max_distance: float
 
 
+def _walk(dist, perm, rel, best):
+    """Extend ``perm``, whose largest distance is ``rel``, in
+    ``itertools.permutations`` order, and keep in ``best`` each full
+    permutation whose largest distance is below the best one's.  A
+    module-level function, so that no closure cycle outlives a match."""
+    i, n = len(perm), len(dist)
+    for j in range(n):
+        if j in perm:
+            continue
+        d = dist[i][j]
+        if i and not d > rel:  # as max keeps a first NaN and skips a later one
+            d = rel
+        if d < best[0]:  # else cut: no permutation below here is better
+            if i + 1 < n:
+                _walk(dist, perm + (j,), d, best)
+            else:
+                best[:] = d, perm + (j,)
+
+
 def match_root_multisets(a, b, tol):
     """Best permutation matching of two equal-length root lists (length <= 4).
 
     Exhaustive search over all permutations for the least largest relative
-    pair distance; the n*n relative distances are computed once and each
-    permutation looks its pairs up.  Pairs compare via the scale-relative
+    pair distance; the n*n relative distances are computed once.  The
+    permutations are walked in ``itertools.permutations`` order, each
+    prefix carrying its largest distance as ``max`` takes it, and a prefix
+    is cut once that distance is not below the best found, which only a
+    strictly smaller one replaces.  Pairs compare via the scale-relative
     ``approx_eq`` at ``tol``.  The reported distance is the
     largest absolute pair distance under the best permutation, the first
     one found on a tie.
@@ -146,14 +167,15 @@ def match_root_multisets(a, b, tol):
         raise ValueError("at most four roots supported")
     if not a:
         return MatchResult(True, (), 0.0)
-    dist = [[abs(x - y) / max(1.0, abs(x), abs(y)) for y in b] for x in a]
-    best_perm = None
-    best_rel = math.inf
-    for perm in itertools.permutations(range(len(b))):
-        rel = max(map(list.__getitem__, dist, perm))
-        if rel < best_rel:
-            best_rel = rel
-            best_perm = perm
+    # max(1.0, |x|, |y|), as max folds from the left, NaN passed over
+    sizes = [max(1.0, abs(y)) for y in b]
+    dist = []
+    for x in a:
+        size = max(1.0, abs(x))
+        dist.append([abs(x - y) / (s if s > size else size) for y, s in zip(b, sizes)])
+    best = [math.inf, None]
+    _walk(dist, (), None, best)
+    best_perm = best[1]
     max_dist = max(abs(x - b[p]) for x, p in zip(a, best_perm))
     matched = all(approx_eq(x, b[p], tol) for x, p in zip(a, best_perm))
     return MatchResult(matched, best_perm, max_dist)

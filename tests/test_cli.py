@@ -684,3 +684,29 @@ def test_text_solve_process_loads_neither_argparse_nor_json():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "x^2 - 2"],
+        # about 16 KB, more than the stdout buffer: print itself meets the
+        # closed pipe
+        ["solve", "--format", "json", "--verify", "--radical", "--", "1.234*x^4 - 2.5*x^3 + 0.75*x - 3.1"],
+    ],
+    ids=["small", "16KB"],
+)
+def test_a_closed_pipe_exits_141_without_a_traceback(argv):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)  # the small document waits for the last flush
+    read, write = os.pipe()
+    os.close(read)  # before the child starts, so its every write fails
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "radica", *argv], env=env, stdout=write, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (cli.EXIT_PIPE, b"")
+    assert cli.EXIT_PIPE == 141

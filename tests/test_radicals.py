@@ -3,8 +3,10 @@
 import dataclasses
 import gc
 import math
+import re
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
@@ -88,6 +90,79 @@ def test_folds_on_pairs_agree_with_fraction_arithmetic():
             _agree(rdiv(lit(p), rneg(lit(q))), p / -q)  # a negative divisor too
         # folds of folded literals, whose value has not been read
         _agree(rmul(rsub(lit(p), lit(q)), radd(lit(q), lit(r))), (p - q) * (q + r))
+
+    check()
+
+
+def test_cross_cancelled_folds_are_the_fraction_results_in_lowest_terms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = st.integers(-(2**400), 2**400)
+    rationals = st.one_of(
+        st.fractions(max_denominator=10**6),
+        st.builds(Fraction, big, big.filter(bool)),  # beyond 300 bits
+        st.builds(Fraction, big),  # d = 1
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2**301 - 1, 2**300)]),
+    )
+
+    def pair(node, want):
+        assert node.__class__ is Lit
+        assert (node.n, node.d) == (want.numerator, want.denominator)
+        assert node.d > 0 and math.gcd(node.n, node.d) == 1
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(rationals, rationals)
+    def check(p, q):
+        # a common factor in the denominators makes the sum's second gcd run
+        for r in (q, q / 6 if q else q, q * p.denominator):
+            pair(radd(lit(p), lit(r)), p + r)
+            pair(rsub(lit(p), lit(r)), p - r)
+            pair(rmul(lit(p), lit(r)), p * r)
+            if r:
+                pair(rdiv(lit(p), lit(r)), p / r)
+        pair(rsub(lit(p), lit(p)), Fraction(0))
+        if p:
+            pair(rdiv(lit(p), lit(-p)), Fraction(-1))
+
+    check()
+
+
+def _trees():
+    """Radical trees of negative and 300-bit literals, nested negations and
+    quotients, roots and omega powers, built by the smart constructors and
+    by the node classes directly."""
+    st = pytest.importorskip("hypothesis").strategies
+    literals = st.builds(
+        lambda n, d: lit(Fraction(n, d)),
+        st.integers(-(2**300), 2**300) | st.integers(-20, 20),
+        st.integers(1, 2**300) | st.integers(1, 20),
+    )
+    leaves = literals | st.builds(OmegaPow, st.sampled_from([1, 2]))
+
+    def grow(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            st.builds(Neg, children), st.builds(rneg, children),
+            st.builds(Sqrt, children), st.builds(Cbrt, children),
+            pairs.map(lambda p: Add(*p)), pairs.map(lambda p: radd(*p)),
+            pairs.map(lambda p: Mul(*p)), pairs.map(lambda p: rmul(*p)),
+            pairs.map(lambda p: Div(*p)), pairs.map(lambda p: rdiv(*p)),
+            pairs.map(lambda p: rsub(*p)),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+def test_radical_text_needs_no_json_escape():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(_trees())
+    def check(tree):
+        text = render(tree)
+        assert re.fullmatch(r"[0-9a-z()+\-*/^ ]*", text)
+        assert set(re.findall(r"[a-z]+", text)) <= {"sqrt", "cbrt", "omega"}
+        assert encode_basestring_ascii(text) == '"' + text + '"'
 
     check()
 

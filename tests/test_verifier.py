@@ -1,6 +1,7 @@
 """Verification machinery: Horner, expansion, the numeric oracle, reports."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -274,6 +275,59 @@ def test_match_agrees_with_per_permutation_reference():
         assert (got.permutation, got.max_distance, got.matched) == _reference_match(a, b, tol)
         ties += len(set(a)) < n or len(set(b)) < n
     assert ties > 300
+
+
+def test_match_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        match_root_multisets([1, 2j, 3 + 0j, -1], [3, -1 + 1e-13j, 2j, 1], 1e-9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _match_outcome(match, a, b, tol):
+    """(permutation, repr of the distance, verdict), or the error's class."""
+    try:
+        result = match(a, b, tol)
+    except Exception as exc:  # every permutation NaN: no best one to read
+        return type(exc)
+    if isinstance(result, MatchResult):
+        result = (result.permutation, result.max_distance, result.matched)
+    permutation, max_distance, matched = result
+    return permutation, repr(max_distance), matched
+
+
+def test_pruned_match_agrees_with_reference_on_nan_inf_and_coincident_roots():
+    rng = random.Random(20261019)
+    nan, inf = math.nan, math.inf
+    # non-finite parts make NaN and inf distances, at any place in a
+    # permutation; repeated values make ties
+    pool = [
+        0j, 1 + 0j, 1 + 0j, -1 + 0j, 1j, 1e-13 + 0j,
+        complex(nan, 0.0), complex(0.0, nan), complex(inf, 0.0), complex(-inf, 1.0),
+        complex(inf, inf), complex(1e308, -1e308),
+    ]
+    kinds = set()
+    for _ in range(4000):
+        n = rng.randint(1, 4)
+        a = [rng.choice(pool) for _ in range(n)]
+        b = [rng.choice(pool) for _ in range(n)]
+        if rng.random() < 0.3:
+            b = list(a)
+            rng.shuffle(b)
+        tol = rng.choice((1e-9, 0.5))
+        want = _match_outcome(_reference_match, a, b, tol)
+        assert _match_outcome(match_root_multisets, a, b, tol) == want, (a, b)
+        if isinstance(want, type):
+            kinds.add(want)
+            continue
+        kinds.add("inf" if want[1] == "inf" else "finite")
+        rel = [abs(x - b[p]) / max(1.0, abs(x), abs(b[p])) for x, p in zip(a, want[0])]
+        if any(map(math.isnan, rel)):
+            kinds.add("a later NaN passed over")
+    assert kinds == {TypeError, "inf", "finite", "a later NaN passed over"}
 
 
 
