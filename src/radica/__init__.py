@@ -51,43 +51,3 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BiquadraticQuartic",
-    "ComplexField",
-    "DegenerateLeadingTerm",
-    "FieldCapabilities",
-    "NoConvergence",
-    "ReducibleExtensionError",
-    "RootRecord",
-    "SolverError",
-    "StrictHypothesisViolation",
-    "Tower",
-    "TowerElement",
-    "TowerField",
-    "TowerMismatchError",
-    "VerificationReport",
-    "ZeroLinearTerm",
-    "approx_eq",
-    "cardano_root",
-    "ccbrt_principal",
-    "csqrt_principal",
-    "depress_cubic",
-    "depress_quartic",
-    "durand_kerner",
-    "expand_monic_from_roots",
-    "horner_eval",
-    "match_root_multisets",
-    "negative_exhibit_two_cbrts",
-    "omega_twisting_cbrt",
-    "quartic_split_depressed",
-    "real_preferring_cbrt",
-    "render_radical",
-    "residuals",
-    "resolvent_coeffs",
-    "solve_cubic",
-    "solve_linear",
-    "solve_quadratic",
-    "solve_quartic",
-    "verify_solution",
-]

@@ -529,7 +529,12 @@ def run(argv=None):
 
     Help prints to stdout and returns 0, a usage error prints to stderr and
     returns 2; neither raises ``SystemExit``, and ``main`` exits with the code.
+    Python's limit on integer text (4,300 digits) is lifted for the call, so
+    that long exact coefficients parse and long exact roots print, and the
+    caller's limit is restored on return.
     """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _Exit as exc:
@@ -540,7 +545,10 @@ def run(argv=None):
         usage = _HELP[prog].partition("\n\n")[0]
         print(f"{usage}\n{prog}: error: {error[0]}", file=sys.stderr)
         return EXIT_PARSE
-    return _cmd_solve(args) if command == "solve" else _cmd_selftest(args)
+    else:
+        return _cmd_solve(args) if command == "solve" else _cmd_selftest(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main():

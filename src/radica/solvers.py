@@ -16,14 +16,14 @@ Each formula is one function over the field contract: ``depress_cubic``,
 elements.  There is one solver per degree, ``solve_linear`` to
 ``solve_quartic``, each taking leading-first general coefficients and
 returning root records; the solvers run the same formulas over
-``_Traced``, a backend whose elements pair the wrapped backend's value
-with the radical tree that produced it.  Over an exact backend that is
-``_PendingTraced``: depressing, the resolvent and Cardano's inner term are
-arithmetic in Q, so a rational value stays a literal, which the tree's
-literal fold computes exactly, and becomes a tower element only when it
-meets an irrational value, a root, ``to_complex`` or a record.  By
-default the cubic and quartic solvers case-split on ``is_zero`` and cover
-every degenerate input; with ``strict=True`` they demand the paper's
+``_Traced``, one backend over either field whose elements pair the wrapped
+backend's value with the radical tree that produced it.  A rational value
+stays a literal, which the tree's literal fold computes exactly: over the
+exact field, depressing, the resolvent and Cardano's inner term are
+arithmetic in Q, and the value becomes a tower element only when it meets
+an irrational value, a root, ``to_complex`` or a record.  By default the
+cubic and quartic solvers case-split on ``is_zero`` and cover every
+degenerate input; with ``strict=True`` they demand the paper's
 nonzeroness hypotheses instead and raise ``StrictHypothesisViolation``.
 The case splits are only as faithful as the backend's ``is_zero``, which
 on a reducible tower can miss a zero (see ``FieldCapabilities`` and
@@ -96,17 +96,41 @@ class _Traced(FieldCapabilities):
     """Field whose elements are ``_TV(value, expr)`` pairs: ``value`` lives in
     the wrapped backend ``f`` and ``expr`` is its radical tree.  A float
     part of a wrapped value shows as the literal of its shortest decimal
-    text.  ``_traced`` picks ``_PendingTraced`` for an exact backend."""
+    text.
+
+    A rational stays a literal until it is read: ``from_rational``, and
+    ``wrap`` of a value the backend knows to be rational, give a ``_TV``
+    whose ``value`` is ``None``, pending.  Two pending operands combine by
+    the literal fold alone, which computes the exact value, and ``is_zero``
+    of a pending value reads the literal's numerator.  When a pending value
+    meets a backend value, a root, ``to_complex`` or a record, ``_read``
+    makes its backend element from the literal, once, and keeps it.  The
+    tree is the same either way, and so is the element: the exact normal
+    form is unique, and on the complex backend no two pending values meet,
+    as its decimal inputs are never rational to it.
+    """
 
     def __init__(self, field):
         self.f = field
         self._omega = None
         self._lits = {}
 
+    def _read(self, x):
+        """The backend value of ``x``, made from its literal and kept if ``x``
+        is pending.  The operations read ``x.value or self._read(x)``: no
+        call for a value that is there, and a falsy one comes back as is."""
+        value = x.value
+        if value is None:
+            lit = x.expr
+            # an integer goes in as an int: the complex backend's float() of
+            # a Fraction is a Python-level call, of an int a native one
+            value = x.value = self.f.from_rational(lit.n if lit.d == 1 else lit.value)
+        return value
+
     def wrap(self, x):
         q = self.f.as_rational(x)
         if q is not None:
-            return _TV(x, radicals.lit(q))
+            return _TV(None, radicals.lit(q))
         z = self.f.to_complex(x)
         expr = radicals.decimal(z.real)
         if z.imag:
@@ -117,37 +141,54 @@ class _Traced(FieldCapabilities):
     def from_rational(self, q):
         tv = self._lits.get(q)
         if tv is None:
-            tv = _TV(self.f.from_rational(q), radicals.lit(q))
-            self._lits[q] = tv
+            tv = self._lits[q] = _TV(None, radicals.lit(q))
         return tv
 
     def to_complex(self, x):
-        return self.f.to_complex(x.value)
+        return self.f.to_complex(x.value or self._read(x))
 
     def is_zero(self, x):
+        if x.value is None:
+            return x.expr.n == 0
         return self.f.is_zero(x.value)
 
     def add(self, x, y):
-        return _TV(self.f.add(x.value, y.value), radicals.radd(x.expr, y.expr))
+        expr = radicals.radd(x.expr, y.expr)
+        if x.value is None and y.value is None:
+            return _TV(None, expr)
+        return _TV(self.f.add(x.value or self._read(x), y.value or self._read(y)), expr)
 
     def sub(self, x, y):
-        return _TV(self.f.sub(x.value, y.value), radicals.rsub(x.expr, y.expr))
+        expr = radicals.rsub(x.expr, y.expr)
+        if x.value is None and y.value is None:
+            return _TV(None, expr)
+        return _TV(self.f.sub(x.value or self._read(x), y.value or self._read(y)), expr)
 
     def neg(self, x):
-        return _TV(self.f.neg(x.value), radicals.rneg(x.expr))
+        value = x.value
+        return _TV(None if value is None else self.f.neg(value), radicals.rneg(x.expr))
 
     def mul(self, x, y):
-        return _TV(self.f.mul(x.value, y.value), radicals.rmul(x.expr, y.expr))
+        expr = radicals.rmul(x.expr, y.expr)
+        if x.value is None and y.value is None:
+            return _TV(None, expr)
+        return _TV(self.f.mul(x.value or self._read(x), y.value or self._read(y)), expr)
 
     def div(self, x, y):
-        return _TV(self.f.div(x.value, y.value), radicals.rdiv(x.expr, y.expr))
+        if y.value is None and y.expr.n == 0:
+            raise ZeroDivisionError("division by zero")
+        expr = radicals.rdiv(x.expr, y.expr)
+        if x.value is None and y.value is None:
+            return _TV(None, expr)
+        return _TV(self.f.div(x.value or self._read(x), y.value or self._read(y)), expr)
 
     def sqrt(self, x):
-        return _TV(self.f.sqrt(x.value), Sqrt(x.expr))
+        return _TV(self.f.sqrt(x.value or self._read(x)), Sqrt(x.expr))
 
     def cbrt(self, x):
-        value = self.f.cbrt(x.value)
-        q = self.f.as_rational(x.value)
+        radicand = x.value or self._read(x)
+        value = self.f.cbrt(radicand)
+        q = self.f.as_rational(radicand)
         if q is not None and q < 0:
             # the exact backend takes the real (sign-preserving) cube root of
             # a negative rational, which the principal branch would not match
@@ -164,92 +205,13 @@ class _Traced(FieldCapabilities):
     def record(self, label, tv):
         """The root record of ``tv``."""
         f = self.f
+        value = tv.value or self._read(tv)
         return RootRecord(
             label=label,
-            exact=tv.value if f.is_exact else None,
-            approx=f.to_complex(tv.value),
+            exact=value if f.is_exact else None,
+            approx=f.to_complex(value),
             radical=tv.expr,
         )
-
-
-class _PendingTraced(_Traced):
-    """``_Traced`` over an exact backend, where a rational stays a literal
-    until it is read.
-
-    ``from_rational`` and ``wrap`` of a rational give a ``_TV`` whose
-    ``value`` is ``None``: pending.  Two pending operands combine by the
-    literal fold alone, which computes the exact value, and ``is_zero`` of
-    a pending value reads the literal's numerator.  The backend element is
-    made from the literal when a pending value meets a value that is not
-    pending, a root, ``to_complex`` or a record (``_read``).  The tree is
-    the same either way, and so is the element, as the normal form is
-    unique.
-    """
-
-    def _read(self, x):
-        """``x`` with its backend value made, if it is pending."""
-        if x.value is None:
-            return _TV(self.f.from_rational(x.expr.value), x.expr)
-        return x
-
-    def wrap(self, x):
-        q = self.f.as_rational(x)
-        if q is None:
-            return super().wrap(x)
-        return _TV(None, radicals.lit(q))
-
-    def from_rational(self, q):
-        return _TV(None, radicals.lit(q))
-
-    def to_complex(self, x):
-        return super().to_complex(self._read(x))
-
-    def is_zero(self, x):
-        if x.value is None:
-            return x.expr.n == 0
-        return self.f.is_zero(x.value)
-
-    def add(self, x, y):
-        if x.value is None and y.value is None:
-            return _TV(None, radicals.radd(x.expr, y.expr))
-        return super().add(self._read(x), self._read(y))
-
-    def sub(self, x, y):
-        if x.value is None and y.value is None:
-            return _TV(None, radicals.rsub(x.expr, y.expr))
-        return super().sub(self._read(x), self._read(y))
-
-    def neg(self, x):
-        if x.value is None:
-            return _TV(None, radicals.rneg(x.expr))
-        return super().neg(x)
-
-    def mul(self, x, y):
-        if x.value is None and y.value is None:
-            return _TV(None, radicals.rmul(x.expr, y.expr))
-        return super().mul(self._read(x), self._read(y))
-
-    def div(self, x, y):
-        if y.value is None:
-            if y.expr.n == 0:
-                raise ZeroDivisionError("division by zero")
-            if x.value is None:
-                return _TV(None, radicals.rdiv(x.expr, y.expr))
-        return super().div(self._read(x), self._read(y))
-
-    def sqrt(self, x):
-        return super().sqrt(self._read(x))
-
-    def cbrt(self, x):
-        return super().cbrt(self._read(x))
-
-    def record(self, label, tv):
-        return super().record(label, self._read(tv))
-
-
-def _traced(field):
-    """The trace backend over ``field``."""
-    return (_PendingTraced if field.is_exact else _Traced)(field)
 
 
 def _monic(field, a, *rest):
@@ -282,7 +244,7 @@ def _quadratic_monic(f, b, c):
 
 def solve_linear(field, a, b):
     """The root -b/a of a*x + b (a != 0), as one record."""
-    t = _traced(field)
+    t = _Traced(field)
     return [t.record("linear", t.div(t.neg(t.wrap(b)), t.wrap(a)))]
 
 
@@ -294,7 +256,7 @@ def solve_quadratic(field, a, b, c):
     When the discriminant is zero the two roots coincide.
     """
     nb, nc = _monic(field, a, b, c)
-    t = _traced(field)
+    t = _Traced(field)
     plus, minus = _quadratic_monic(t, t.wrap(nb), t.wrap(nc))
     return [t.record("quadratic-plus", plus), t.record("quadratic-minus", minus)]
 
@@ -421,7 +383,7 @@ def solve_cubic(field, a, b, c, d, strict=False):
     is demanded in addition.
     """
     nb, nc, nd = _monic(field, a, b, c, d)
-    t = _traced(field)
+    t = _Traced(field)
     cp, dp, shift = depress_cubic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
     if strict:
         if t.is_zero(cp):
@@ -545,7 +507,7 @@ def solve_quartic(field, a, b, c, d, e, strict=False):
     coefficient is -(c'**2 + 12e')/3); e' != 0 is demanded in addition.
     """
     nb, nc, nd, ne = _monic(field, a, b, c, d, e)
-    t = _traced(field)
+    t = _Traced(field)
     cp, dp, ep, shift = depress_quartic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd), t.wrap(ne))
     if strict:
         if t.is_zero(dp):

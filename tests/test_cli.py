@@ -293,6 +293,44 @@ def test_verify_out_of_float_range_coefficient_is_a_backend_failure(capsys):
     assert captured.err == "solver failed: integer division result too large for a float\n"
 
 
+_LONG_ONES = "1" * 5000
+_SEVENS, _THREES = "7" * 3000, "3" * 2999 + "1"
+#: (polynomial, its root): a coefficient beyond Python's 4,300-digit limit on
+#: integer text, and one short enough to parse whose root has about 6,000
+#: digits
+_LONG_INPUTS = [
+    (f"{_LONG_ONES}*x + 1", lambda: Fraction(-1, int(_LONG_ONES))),
+    (f"{_SEVENS}/{_THREES}*x - {_THREES}/{_SEVENS}", lambda: Fraction(int(_THREES), int(_SEVENS)) ** 2),
+]
+
+
+def _exact_text(root):
+    """The text of ``root()``, made with Python's integer-text limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(root())
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("text, root", _LONG_INPUTS, ids=["long-coefficient", "long-root"])
+def test_long_integers_parse_and_print(capsys, text, root):
+    limit = sys.get_int_max_str_digits()
+    assert run(["solve", "--", text]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f" (exactly {_exact_text(root)})  [residual " in captured.out
+
+
+@pytest.mark.parametrize("flags", [("--format", "json", "--verify"), ("--verify", "--radical")])
+def test_a_long_exact_root_prints_verified(capsys, flags):
+    text, root = _LONG_INPUTS[1]
+    assert run(["solve", *flags, "--", text]) == 0
+    assert _exact_text(root).partition("/")[0] in capsys.readouterr().out
+
+
 def test_json_roots_of_x_squared_plus_one(capsys):
     assert run(["solve", "x^2 + 1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -34,7 +34,7 @@ from radica.complexfield import csqrt_principal
 from radica.fields import FieldCapabilities
 from radica.radicals import Cbrt, OmegaPow, Sqrt, evaluate, render
 from radica.selftest import rand_fraction
-from radica.solvers import _TV, _PendingTraced, _cubic_depressed_roots, _traced
+from radica.solvers import _TV, _cubic_depressed_roots, _Traced
 
 
 def _multiset(records, digits=9):
@@ -203,7 +203,7 @@ def test_shared_cardano_base_matches_one_branch_entry(c, d):
     fc, fd = f.from_rational(c), f.from_rational(d)
     shared = [u for _, u in _cubic_depressed_roots(f, fc, fd)]
     assert shared == [cardano_root(f, fc, fd, k) for k in range(3)]
-    t = _traced(TowerField())
+    t = _Traced(TowerField())
     tc, td = t.from_rational(c), t.from_rational(d)
     shared = [render(u.expr) for _, u in _cubic_depressed_roots(t, tc, td)]
     assert shared == [render(cardano_root(t, tc, td, k).expr) for k in range(3)]
@@ -258,7 +258,7 @@ def test_each_case_split_tests_its_element_once(monkeypatch, solve, coeffs, tota
     reads its literal and never reaches the backend: the cubic's c' and d'
     are rational, and so are the quartic's d', e' and resolvent."""
     traced = []
-    real = _PendingTraced.is_zero
+    real = _Traced.is_zero
 
     def counted(self, x):
         traced.append(x)
@@ -268,7 +268,7 @@ def test_each_case_split_tests_its_element_once(monkeypatch, solve, coeffs, tota
         finally:
             self.f.in_tracer = False
 
-    monkeypatch.setattr(_PendingTraced, "is_zero", counted)
+    monkeypatch.setattr(_Traced, "is_zero", counted)
     backend = {solve_cubic: 1, solve_quartic: 4}[solve]
     for is_strict, want in ((False, total), (True, strict)):
         traced.clear()
@@ -914,7 +914,7 @@ def _assert_same_solve(monkeypatch, field, coeffs, strict=False):
     labels, exact elements, approximations to the bit, rendered radicals
     and exceptions must agree, and the second solve adjoins no level."""
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_traced", _ReferenceTracedRecords)
+        patch.setattr(solvers, "_Traced", _ReferenceTracedRecords)
         want = _solve_any(field, coeffs, strict)
     depth = field.tower.depth if field.is_exact else 0
     got = _solve_any(field, coeffs, strict)
@@ -1003,16 +1003,41 @@ def test_complex_solves_match_the_eager_reference(monkeypatch, strict):
 
 
 def test_a_pending_division_by_zero_raises():
-    t = _traced(TowerField())
-    zero, one = t.from_rational(0), t.from_rational(1)
-    assert zero.value is None and t.is_zero(zero)
-    root = t.sqrt(t.from_rational(2))
-    for x in (one, zero, root, t.wrap(t.f.from_rational(3))):
-        with pytest.raises(ZeroDivisionError):
-            t.div(x, zero)
-        with pytest.raises(ZeroDivisionError):
-            t.div(x, t.sub(one, one))
-    # a wrapped irrational is not pending, though its tree is a literal
-    g = t.f.sqrt(t.f.from_rational(3))
-    wrapped = t.wrap(g)
-    assert wrapped.value is g and wrapped.expr.__class__ is radicals.Lit
+    for backend in (TowerField, ComplexField):
+        t = _Traced(backend())
+        zero, one = t.from_rational(0), t.from_rational(1)
+        assert zero.value is None and t.is_zero(zero)
+        root = t.sqrt(t.from_rational(2))
+        for x in (one, zero, root, t.wrap(t.f.from_rational(3))):
+            with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+                t.div(x, zero)
+            with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+                t.div(x, t.sub(one, one))
+        # a wrapped irrational is not pending, though its tree is a literal
+        g = t.f.sqrt(t.f.from_rational(3))
+        wrapped = t.wrap(g)
+        assert wrapped.value is g and wrapped.expr.__class__ is radicals.Lit
+
+
+@pytest.mark.parametrize(
+    "field, qs",
+    [(TowerField, (3, -1, 2, 5, -7)), (ComplexField, (1.5, -2.25, 0.125, 3.3, -0.7))],
+)
+def test_a_pending_value_reaches_the_backend_once(monkeypatch, field, qs):
+    """``_read`` makes a pending value's backend element from its literal
+    once and keeps it, so no pending ``_TV`` reaches the backend's
+    ``from_rational`` twice in one solve; the literals that are read are
+    the formulas' constants and, over Q, the pending results."""
+    pending = []
+    real = _Traced._read
+
+    def read(self, x):
+        if x.value is None:
+            pending.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(_Traced, "_read", read)
+    f = field()
+    solve_quartic(f, *(f.from_rational(Fraction(q)) for q in qs))
+    assert pending
+    assert len({id(x) for x in pending}) == len(pending)
