@@ -19,7 +19,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -51,16 +50,16 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass
 class PolynomialInput:
     """Parsed polynomial: variable name, degree -> coefficient map (exact
     rationals, or floats when decimal literals force the complex backend),
-    and the source text."""
+    the source text, and whether the coefficients are exact."""
 
-    variable: str
-    coefficients: dict
-    source: str
-    exact: bool
+    def __init__(self, variable, coefficients, source, exact):
+        self.variable = variable
+        self.coefficients = coefficients
+        self.source = source
+        self.exact = exact
 
     @property
     def degree(self):
@@ -389,10 +388,15 @@ def _cmd_solve(args):
 
 
 def _cmd_selftest(args):
+    seed_env = os.environ.get("RADICA_SEED")
+    try:
+        seed = int(seed_env) if seed_env else 20260810
+    except ValueError:
+        error = f"RADICA_SEED is not an integer: {seed_env!r}"
+        print(f"radica selftest: error: {error}", file=sys.stderr)
+        return EXIT_PARSE
     from . import selftest
 
-    seed_env = os.environ.get("RADICA_SEED")
-    seed = int(seed_env) if seed_env else 20260810
     ok = selftest.run_corpus(seed)
     return EXIT_OK if ok else EXIT_VERIFY
 

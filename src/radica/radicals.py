@@ -16,33 +16,63 @@ the root's numeric approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .complexfield import ccbrt_principal, csqrt_principal
 
 
+class _FieldTable:
+    """``__dataclass_fields__`` of a node class, for ``dataclasses.fields`` and
+    ``dataclasses.replace``: on first read, the fields of a throwaway frozen
+    dataclass with the same field names, then kept on the node class.  Only
+    the tests and ``perfbench/tracing.count_nodes`` read it; delete it once
+    ROADMAP item 10's recorder replaces ``count_nodes``."""
+
+    def __get__(self, node, owner):
+        names = owner.__dict__.get("_fields")
+        if names is None:
+            raise AttributeError("__dataclass_fields__")
+        import dataclasses
+
+        shape = dataclasses.make_dataclass(owner.__name__, names, frozen=True)
+        table = owner.__dataclass_fields__ = {f.name: f for f in dataclasses.fields(shape)}
+        return table
+
+
 class RadicalExpr:
+    """A tree node: a frozen value whose class and ``_fields`` (the
+    ``__init__`` parameters) give its equality, hash and repr.  Each
+    ``__init__`` writes the instance dict, the cheap way past the frozen
+    ``__setattr__``."""
+
     __slots__ = ()
+    __dataclass_fields__ = _FieldTable()
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
 
-# Nodes are frozen dataclasses (eq, hash, repr, fields), each built by an
-# ``__init__`` that writes its instance dict, the cheap way past the frozen
-# ``__setattr__``.
-_node = dataclass(frozen=True, init=False)
+    def __hash__(self):
+        return hash(self._values())
 
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
-@_node
-class Lit(RadicalExpr):
-    """A rational literal.  Folding and rendering read its pair ``n``/``d`` in
-    lowest terms with ``d > 0``; ``value`` is the same number as a ``Fraction``."""
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
 
-    value: Fraction
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __init__(self, value):
-        attrs = self.__dict__
-        attrs["value"], attrs["n"], attrs["d"] = value, value.numerator, value.denominator
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
 
 
 class _LitValue:
@@ -57,68 +87,67 @@ class _LitValue:
         return value
 
 
-Lit.value = _LitValue()  # set after @dataclass, so the field keeps no default
+class Lit(RadicalExpr):
+    """A rational literal.  Folding and rendering read its pair ``n``/``d`` in
+    lowest terms with ``d > 0``; ``value`` is the same number as a ``Fraction``."""
+
+    _fields = ("value",)
+    value = _LitValue()
+
+    def __init__(self, value):
+        attrs = self.__dict__
+        attrs["value"], attrs["n"], attrs["d"] = value, value.numerator, value.denominator
 
 
-@_node
 class Add(RadicalExpr):
-    left: RadicalExpr
-    right: RadicalExpr
+    _fields = ("left", "right")
 
     def __init__(self, left, right):
         attrs = self.__dict__
         attrs["left"], attrs["right"] = left, right
 
 
-@_node
 class Neg(RadicalExpr):
-    child: RadicalExpr
+    _fields = ("child",)
 
     def __init__(self, child):
         self.__dict__["child"] = child
 
 
-@_node
 class Mul(RadicalExpr):
-    left: RadicalExpr
-    right: RadicalExpr
+    _fields = ("left", "right")
 
     def __init__(self, left, right):
         attrs = self.__dict__
         attrs["left"], attrs["right"] = left, right
 
 
-@_node
 class Div(RadicalExpr):
-    num: RadicalExpr
-    den: RadicalExpr
+    _fields = ("num", "den")
 
     def __init__(self, num, den):
         attrs = self.__dict__
         attrs["num"], attrs["den"] = num, den
 
 
-@_node
 class Sqrt(RadicalExpr):
-    child: RadicalExpr
+    _fields = ("child",)
 
     def __init__(self, child):
         self.__dict__["child"] = child
 
 
-@_node
 class Cbrt(RadicalExpr):
-    child: RadicalExpr
+    _fields = ("child",)
 
     def __init__(self, child):
         self.__dict__["child"] = child
 
 
-@_node
 class OmegaPow(RadicalExpr):
     """Multiplication by the primitive cube root of unity, omega**power."""
 
-    power: int
+    _fields = ("power",)
 
     def __init__(self, power):
         self.__dict__["power"] = power

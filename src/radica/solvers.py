@@ -32,12 +32,11 @@ ROADMAP item 2); a rational value's test reads its literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import radicals
 from .fields import FieldCapabilities
-from .radicals import Cbrt, OmegaPow, RadicalExpr, Sqrt, render
+from .radicals import Cbrt, OmegaPow, Sqrt, render
 
 
 class SolverError(Exception):
@@ -60,7 +59,6 @@ class StrictHypothesisViolation(SolverError):
     """Input excluded by the formula's hypotheses in strict mode."""
 
 
-@dataclass(frozen=True)
 class RootRecord:
     """One solved root: formula branch label, exact tower value when the
     backend is exact, numeric approximation, and a displayable radical tree.
@@ -68,10 +66,13 @@ class RootRecord:
     rendered text (see ``radicals.render``).
     """
 
-    label: str
-    exact: object | None
-    approx: complex
-    radical: RadicalExpr
+    __slots__ = ("label", "exact", "approx", "radical")
+
+    def __init__(self, label, exact, approx, radical):
+        self.label = label
+        self.exact = exact
+        self.approx = approx
+        self.radical = radical
 
 
 def render_radical(record):

@@ -16,7 +16,6 @@ provider, while the corrected t = c/(3s) form never does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 from .complexfield import ComplexField, approx_eq, ccbrt_principal, csqrt_principal
 
@@ -122,11 +121,11 @@ def durand_kerner(coeffs, tol=1e-12, max_iter=200):
     raise NoConvergence(roots, max_iter)
 
 
-@dataclass
 class MatchResult:
-    matched: bool
-    permutation: tuple | None
-    max_distance: float
+    def __init__(self, matched, permutation, max_distance):
+        self.matched = matched
+        self.permutation = permutation
+        self.max_distance = max_distance
 
 
 def _walk(dist, perm, rel, best):
@@ -265,17 +264,20 @@ def _residuals(field, coeffs, records, numeric):
     return values, ok
 
 
-@dataclass
 class VerificationReport:
     """Checks for one solve: per-root residuals, the factorization identity,
     and agreement with the numeric oracle."""
 
-    residuals: list
-    residuals_ok: bool
-    factorization_exact: bool | None
-    factorization_ok: bool
-    oracle_match: bool | None
-    notes: list = dc_field(default_factory=list)
+    def __init__(
+        self, residuals, residuals_ok, factorization_exact, factorization_ok, oracle_match,
+        notes=None,
+    ):
+        self.residuals = residuals
+        self.residuals_ok = residuals_ok
+        self.factorization_exact = factorization_exact
+        self.factorization_ok = factorization_ok
+        self.oracle_match = oracle_match
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self):
@@ -369,19 +371,21 @@ def omega_twisting_cbrt(selector=None):
     return cbrt
 
 
-@dataclass
 class TwoCubeRootExhibit:
     """One run of the uncorrected formula u = s - t with s and t taken as
     independent cube roots, next to the corrected u = s - c/(3s)."""
 
-    c: complex
-    d: complex
-    s: complex
-    t_independent: complex
-    u_naive: complex
-    residual_naive: float
-    u_corrected: complex
-    residual_corrected: float
+    def __init__(
+        self, c, d, s, t_independent, u_naive, residual_naive, u_corrected, residual_corrected
+    ):
+        self.c = c
+        self.d = d
+        self.s = s
+        self.t_independent = t_independent
+        self.u_naive = u_naive
+        self.residual_naive = residual_naive
+        self.u_corrected = u_corrected
+        self.residual_corrected = residual_corrected
 
 
 def negative_exhibit_two_cbrts(c, d, cbrt_func=real_preferring_cbrt):

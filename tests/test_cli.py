@@ -370,6 +370,15 @@ def test_selftest_passes_every_criterion(capsys, monkeypatch):
     assert [line.split()[:2] for line in lines] == [["PASS", c.name] for c in selftest.CRITERIA]
 
 
+@pytest.mark.parametrize("seed", ["abc", "1.5", " "])
+def test_selftest_rejects_a_seed_that_is_not_an_integer(capsys, monkeypatch, seed):
+    monkeypatch.setenv("RADICA_SEED", seed)
+    assert run(["selftest"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == f"radica selftest: error: RADICA_SEED is not an integer: {seed!r}\n"
+
+
 def test_selftest_reports_a_failing_criterion(capsys, monkeypatch):
     monkeypatch.delenv("RADICA_SEED", raising=False)
     criteria = [
@@ -722,6 +731,22 @@ def test_text_solve_process_loads_neither_argparse_nor_json():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_solve_process_never_loads_dataclasses():
+    # an exact solve with the JSON writer and the verifier, then a decimal one
+    # with the radical trees rendered; a solve reads no node field table
+    code = (
+        "import sys; from radica.cli import run; "
+        "run(['solve', '--format', 'json', '--verify', '--', '2*x^4 - 3*x^3 + x - 5']); "
+        "run(['solve', '--verify', '--radical', '--', '1.234*x^4 - 2.5*x^3 + 0.75*x - 3.1']); "
+        "print('dataclasses' in sys.modules)"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,24 @@
 import dataclasses
 import gc
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import pytest
 
-from radica import TowerField, render_radical, solve_cubic, solve_quadratic, solve_quartic
+from radica import (
+    RootRecord,
+    TowerField,
+    render_radical,
+    solve_cubic,
+    solve_quadratic,
+    solve_quartic,
+)
 from radica import radicals
 from radica.radicals import (
     Add,
@@ -210,6 +220,40 @@ def test_nodes_are_frozen_dataclasses():
     assert repr(Neg(lit(2))) == "Neg(child=Lit(value=Fraction(2, 1)))"
 
 
+_NODE_CLASSES = (Lit, Add, Neg, Mul, Div, Sqrt, Cbrt, OmegaPow)
+
+
+@pytest.mark.parametrize("first", ["instance", "class"])
+def test_node_fields_are_the_init_parameters_in_a_fresh_interpreter(first):
+    # each class builds its field table on first read, from an instance or
+    # from the class, and no class's table serves another
+    code = f"""
+import dataclasses, inspect
+from fractions import Fraction
+from radica.radicals import {", ".join(cls.__name__ for cls in _NODE_CLASSES)}
+leaf = Lit(Fraction(1, 2))
+for cls in ({", ".join(cls.__name__ for cls in _NODE_CLASSES)}):
+    params = list(inspect.signature(cls.__init__).parameters)[1:]
+    if cls is Lit:
+        node = leaf
+    elif cls is OmegaPow:
+        node = cls(2)
+    else:
+        node = cls(*[leaf] * len(params))
+    reads = [node, cls] if {first!r} == "instance" else [cls, node]
+    names = [[f.name for f in dataclasses.fields(each)] for each in reads]
+    assert names == [params, params], (cls, names, params)
+    assert dataclasses.replace(node) == node
+print("ok")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+    assert not dataclasses.is_dataclass(RadicalExpr)
+
+
 def test_identity_folding():
     x = Sqrt(lit(2))
     assert radd(lit(0), x) is x
@@ -322,13 +366,13 @@ def test_replaced_tree_renders_itself_after_the_original_is_collected():
     records = _records(solve_quartic, (3, -1, 5, 2, -7))
     for record in records:
         render_radical(record)
-    shell = dataclasses.replace(records[0], radical=lit(0))
+    shell = RootRecord(records[0].label, records[0].exact, records[0].approx, lit(0))
     assert render_radical(shell) == "0"
     del records, record
     gc.collect()
     for coeffs in ((2, 3, -1, 4, 5), (1, -2, 7, 3, -3), (5, 1, 1, -4, 9)):
         for tree in [r.radical for r in _records(solve_quartic, coeffs)]:
-            record = dataclasses.replace(shell, radical=tree)
+            record = RootRecord(shell.label, shell.exact, shell.approx, tree)
             assert render_radical(record) == render(_rebuilt(tree))
 
 

@@ -1,6 +1,5 @@
 """Verification machinery: Horner, expansion, the numeric oracle, reports."""
 
-import dataclasses
 import gc
 import itertools
 import math
@@ -12,6 +11,7 @@ import pytest
 from radica import (
     ComplexField,
     NoConvergence,
+    RootRecord,
     TowerField,
     durand_kerner,
     expand_monic_from_roots,
@@ -470,7 +470,7 @@ def test_verify_detects_tampered_root():
     f = TowerField()
     c, d = f.from_rational(-6), f.from_rational(-9)
     records = solve_cubic(f, f.one, f.zero, c, d)
-    tampered = [dataclasses.replace(records[0], exact=None, approx=3.1 + 0j)]
+    tampered = [RootRecord(records[0].label, None, 3.1 + 0j, records[0].radical)]
     tampered += list(records[1:])
     report = verify_solution(f, [f.one, f.zero, c, d], tampered)
     assert not report.passed
@@ -493,7 +493,7 @@ def test_verify_exact_wrong_root_falls_back_to_horner(monkeypatch):
     coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
     records = solve_quartic(f, *coeffs)
     wrong = f.add(records[2].exact, f.from_rational(Fraction(1, 10)))
-    records[2] = dataclasses.replace(records[2], exact=wrong)
+    records[2] = RootRecord(records[2].label, wrong, records[2].approx, records[2].radical)
     seen = []
     real = verifier.horner_eval
     monkeypatch.setattr(verifier, "horner_eval", lambda *a: seen.append(a) or real(*a))
@@ -552,7 +552,7 @@ def test_verify_root_shifted_by_a_tenth_fails_on_both_routes(monkeypatch, coeffi
     coeffs = coefficients(f)
     records = solve_quadratic(f, *coeffs)
     wrong = f.add(records[0].exact, f.from_rational(Fraction(1, 10)))
-    records[0] = dataclasses.replace(records[0], exact=wrong)
+    records[0] = RootRecord(records[0].label, wrong, records[0].approx, records[0].radical)
     report, taken = _inverses_in_verify(monkeypatch, f, coeffs, records)
     assert report.factorization_exact is False
     assert report.residuals[0] > 0.0 and report.residuals[1] == 0.0
@@ -567,7 +567,7 @@ def test_residuals_exact_wrong_root_falls_back_to_horner(monkeypatch):
     coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
     records = solve_quartic(f, *coeffs)
     wrong = f.add(records[2].exact, f.from_rational(Fraction(1, 10)))
-    records[2] = dataclasses.replace(records[2], exact=wrong)
+    records[2] = RootRecord(records[2].label, wrong, records[2].approx, records[2].radical)
     seen = []
     real = verifier.horner_eval
     monkeypatch.setattr(verifier, "horner_eval", lambda *a: seen.append(a) or real(*a))
