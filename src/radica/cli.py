@@ -256,7 +256,7 @@ def _json_report(poly, backend_name, records, values, report):
     coefficients = []
     for deg in sorted(poly.coefficients, reverse=True):
         if poly.exact:
-            q = Fraction(poly.coefficients[deg])
+            q = poly.coefficients[deg]
             coefficients.append(f"""\
     {{
       "deg": {deg!r},
@@ -334,7 +334,7 @@ def _cmd_solve(args):
             field = ComplexField(scale=max(abs(z) for z in coeffs))
         else:
             field = TowerField()
-            coeffs = [field.from_rational(Fraction(c)) for c in dense]
+            coeffs = [field.from_rational(c) for c in dense]
         records = _solve(field, coeffs, args.paper_strict)
         if args.verify:
             report = verify_solution(field, coeffs, records)

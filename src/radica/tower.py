@@ -14,21 +14,30 @@ mixed radix of 2*d_k - 1 per level with the lowest level least significant,
 so multiplying two monomials adds their keys without carry and appending a
 level leaves every key unchanged.  Multiplication is the integer product of
 the nonzero terms with one reduction pass that applies each level's rule
-h_k**d_k -> rule, through the tower's table of reduced monomials; inversion
-multiplies by the adjugate over the level below; a product with a rational
-operand only scales the other's terms.  ``debug_str`` and ``to_complex`` are
-defined in the original g basis; ``to_complex`` evaluates from the highest
-level an element uses, which gives the bits of an evaluation over the whole
-tower as long as every level embeds as a finite number.
+h_k**d_k -> rule, through the tower's table of reduced monomials.  A
+monomial c*prod h_k**e_k inverts in closed form, sign(c)/|c| times
+prod h_k**(d_k - e_k) * rule_k**-1 over its levels with e_k > 0, and each
+level keeps its rule's inverse from its first use; any other element
+multiplies by its adjugate over the level below its highest generator, and
+the norm recursion ends in the closed form once the norm is a monomial.  A
+product with a rational operand only scales the other's terms.
+``debug_str`` and ``to_complex`` are defined in the original g basis, where
+a key's coefficient is its h-basis one times prod scale_k**e_k, which
+``to_complex`` reads from the tower's scale table; it evaluates from the
+highest level an element uses, which gives the bits of an evaluation over
+the whole tower as long as every level embeds as a finite number.
 
 A ``Tower`` is one solve session: it owns the level chain, the generator
-keys, the table of reduced monomials and adjunction.  ``Tower.adjoin``
-returns an equal root for an equal radicand and otherwise appends a level
-in place; since appending leaves every key unchanged, elements built
-before it keep their value, elements over the lower levels are elements of
-the grown tower, and the table stays valid as it grows.  Elements combine
-only with elements, and elements of different towers do not mix, except
-that a rational takes the tower of the element it meets.
+keys, the tables of reduced monomials and of scales, and adjunction.
+``Tower.adjoin`` returns an equal root for an equal radicand and otherwise
+appends a level in place; since appending leaves every key unchanged,
+elements built before it keep their value, elements over the lower levels
+are elements of the grown tower, and the tables and the kept rule inverses
+stay valid as it grows.  Splitting a reducible level (ROADMAP item 2) would
+change its rule and scale, so a split must drop the kept rule inverses and
+the scale table together with the table of reduced monomials.  Elements
+combine only with elements, and elements of different towers do not mix,
+except that a rational takes the tower of the element it meets.
 """
 
 from __future__ import annotations
@@ -155,15 +164,34 @@ def _exponents(levels, key):
     return exps
 
 
+def _g_factor(levels, key):
+    """prod scale_k**e_k: the factor that takes the monomial ``key``'s
+    coefficient to the g basis, since h_k**e = scale_k**e * g_k**e."""
+    factor = 1
+    for lv, e in zip(levels, _exponents(levels, key)):
+        if e:
+            factor *= lv.scale**e
+    return factor
+
+
 def _g_numerators(levels, terms):
-    """{key: int}: the terms in the g basis, since h_k**e = scale_k**e * g_k**e."""
-    out = {}
-    for key, v in terms.items():
-        for lv, e in zip(levels, _exponents(levels, key)):
-            if e:
-                v *= lv.scale**e
-        out[key] = v
-    return out
+    """{key: int}: the terms in the g basis."""
+    return {key: v * _g_factor(levels, key) for key, v in terms.items()}
+
+
+class _ScaleTable(dict):
+    """Monomial key -> its ``_g_factor`` over a session's levels, filled on
+    first use; appending a level changes no key's factor."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels):
+        super().__init__()
+        self.levels = levels
+
+    def __missing__(self, key):
+        factor = self[key] = _g_factor(self.levels, key)
+        return factor
 
 
 def _embed(levels, bases, depth, coeffs):
@@ -189,7 +217,13 @@ def _embed(levels, bases, depth, coeffs):
     g = levels[depth].embed
     acc = 0j
     for part in reversed(parts):
-        acc = acc * g + _embed(levels, bases, depth, part)
+        if not part:
+            value = 0j
+        elif len(part) == 1 and 0 in part:
+            value = complex(part[0])
+        else:
+            value = _embed(levels, bases, depth, part)
+        acc = acc * g + value
     return acc
 
 
@@ -255,9 +289,12 @@ class Level:
     ``radicand`` is the sorted (key, int) pairs and denominator of the
     radicand over the levels below; the generator is stored as
     h = scale*g, and ``rule`` is the integral element h**deg reduces to.
+    ``rule_inverse`` is the reduced (terms, den) of 1/rule, kept from the
+    first monomial inversion that needs it, or None before then; a pair
+    and not an element, which would refer back to the tower.
     """
 
-    __slots__ = ("kind", "deg", "radix", "radicand", "embed", "scale", "rule")
+    __slots__ = ("kind", "deg", "radix", "radicand", "embed", "scale", "rule", "rule_inverse")
 
     def __init__(self, kind, radicand, embed):
         self.kind = kind
@@ -268,6 +305,7 @@ class Level:
         self.scale = _root_scale(radicand.den, self.deg)
         lift = self.scale**self.deg // radicand.den
         self.rule = {k: v * lift for k, v in radicand.terms.items()}
+        self.rule_inverse = None
 
 
 class Tower(dict):
@@ -278,15 +316,18 @@ class Tower(dict):
     one past the largest key; ``adjoin`` grows both in place.  As a dict the
     tower maps every monomial key that a product can produce to its normal
     form, filled on first use: ``None`` for a key that is already normal,
-    else a tuple of (normal key, int) pairs.
+    else a tuple of (normal key, int) pairs.  ``scales``, filled the same
+    way, maps a key to the integer that takes its coefficient to the g
+    basis, for ``TowerElement.to_complex``.
     """
 
-    __slots__ = ("levels", "bases", "_roots")
+    __slots__ = ("levels", "bases", "scales", "_roots")
 
     def __init__(self):
         super().__init__()
         self.levels = []
         self.bases = [1]
+        self.scales = _ScaleTable(self.levels)
         #: (kind, den, frozenset of terms) of a radicand -> (terms, den) of
         #: its root; not the element, which would refer back to the tower
         self._roots = {}
@@ -296,7 +337,8 @@ class Tower(dict):
         return len(self.levels)
 
     def rational(self, q):
-        q = Fraction(q)
+        if q.__class__ is not int and q.__class__ is not Fraction:
+            q = Fraction(q)
         return TowerElement(self, {0: q.numerator} if q else {}, q.denominator)
 
     def adjoin(self, kind, a):
@@ -363,12 +405,16 @@ class Tower(dict):
         return {k: v for k, v in out.items() if v}
 
     def inverse(self, terms):
-        """(terms, den) of 1/x for nonzero integral x, by the norm to the level
-        below x's highest generator: x * adj(x) = N(x) there."""
+        """(terms, den) of 1/x for nonzero integral x.
+
+        A monomial inverts in closed form; any other x by the norm to the
+        level below its highest generator, x * adj(x) = N(x) there, whose
+        inverse takes the closed form again when N(x) is a monomial.
+        """
+        if len(terms) == 1:
+            ((key, c),) = terms.items()
+            return self._monomial_inverse(key, c)
         top = bisect_right(self.bases, max(terms)) - 1
-        if top < 0:
-            n = terms[0]
-            return {0: 1 if n > 0 else -1}, abs(n)
         level, base, mul = self.levels[top], self.bases[top], self.mul
         rule = level.rule
         a = [{} for _ in range(level.deg)]
@@ -397,6 +443,30 @@ class Tower(dict):
         inv, den = self.inverse({k: v // content for k, v in norm.items()})
         adjoint = {low + i * base: v for i, part in enumerate(adj) for low, v in part.items()}
         return mul(adjoint, inv), den * content
+
+    def _monomial_inverse(self, key, c):
+        """(terms, den) of 1/(c * prod h_k**e_k): h_k**d_k = rule_k gives
+        1/h_k**e_k = h_k**(d_k - e_k) * rule_k**-1 for each e_k > 0, with
+        each rule's inverse kept on its level from its first use."""
+        used = []
+        flipped = 0
+        for level, base in zip(self.levels, self.bases):
+            if key < base:
+                break
+            e = key // base % level.radix
+            if e:
+                used.append(level)
+                flipped += (level.deg - e) * base
+        terms, den = {flipped: 1 if c > 0 else -1}, abs(c)
+        for level in reversed(used):
+            if level.rule_inverse is None:
+                inv, inv_den = self.inverse(level.rule)
+                g = gcd(inv_den, *inv.values())
+                level.rule_inverse = {k: v // g for k, v in inv.items()}, inv_den // g
+            inv, inv_den = level.rule_inverse
+            terms = self.mul(terms, inv)
+            den *= inv_den
+        return terms, den
 
     def __repr__(self):
         return f"Tower(depth={self.depth})"
@@ -497,9 +567,10 @@ class TowerElement:
         component, so a level the element does not use contributes
         (+0, +0)*g + v = v.
         """
-        levels, den = self.tower.levels, self.den
-        coeffs = {k: n / den for k, n in _g_numerators(levels, self.terms).items()}
-        return _embed(levels, self.tower.bases, len(levels), coeffs)
+        tower, den = self.tower, self.den
+        scales = tower.scales
+        coeffs = {k: n * scales[k] / den for k, n in self.terms.items()}
+        return _embed(tower.levels, tower.bases, len(tower.levels), coeffs)
 
     def as_rational(self):
         terms = self.terms

@@ -1,9 +1,14 @@
 """Exact backend: adjunction, arithmetic, inversion."""
 
 import gc
+import io
 import itertools
 import random
+from bisect import bisect_right
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,8 +19,9 @@ from radica import (
     TowerMismatchError,
     solve_quartic,
 )
+from radica.cli import run
 from radica.selftest import rand_fraction
-from radica.tower import _g_numerators, _root_scale
+from radica.tower import _combine, _g_numerators, _normal, _reducible_factor, _root_scale
 
 
 # -- adjunction ---------------------------------------------------------------
@@ -593,3 +599,127 @@ def test_kernel_matches_reference_on_zero_divisor_towers():
         x, y = (_ref_random(rng, degs, 5, rng.randint(0, 4)) for _ in range(2))
         x[top] = x.get(top, 0) + rand_fraction(rng, 30) or 1
         _check_against_reference(tower, gens, levels, x, y)
+
+
+# -- closed-form monomial inverse ---------------------------------------------
+
+
+def _adjugate_inverse(tower, terms):
+    """``Tower.inverse`` as it was before monomials took the closed form:
+    every element, monomials too, by the adjugate; the reference for the
+    closed form's normal forms and errors."""
+    top = bisect_right(tower.bases, max(terms)) - 1
+    if top < 0:
+        n = terms[0]
+        return {0: 1 if n > 0 else -1}, abs(n)
+    level, base, mul = tower.levels[top], tower.bases[top], tower.mul
+    rule = level.rule
+    a = [{} for _ in range(level.deg)]
+    for key, v in terms.items():
+        i, low = divmod(key, base)
+        a[i][low] = v
+    if level.deg == 2:
+        adj = [a[0], {k: -v for k, v in a[1].items()}]
+        norm = _combine(mul(a[0], a[0]), mul(rule, mul(a[1], a[1])), -1)
+    else:
+        a0, a1, a2 = a
+        adj = [
+            _combine(mul(a0, a0), mul(rule, mul(a1, a2)), -1),
+            _combine(mul(rule, mul(a2, a2)), mul(a0, a1), -1),
+            _combine(mul(a1, a1), mul(a0, a2), -1),
+        ]
+        cross = _combine(mul(a1, adj[2]), mul(a2, adj[1]))
+        norm = _combine(mul(a0, adj[0]), mul(rule, cross))
+    if not norm:
+        coeffs = [
+            _normal(tower, {k: v * level.scale**i for k, v in part.items()}, 1)
+            for i, part in enumerate(a)
+        ]
+        raise ReducibleExtensionError(factor=_reducible_factor(tower, level, coeffs))
+    content = gcd(*norm.values())
+    inv, den = _adjugate_inverse(tower, {k: v // content for k, v in norm.items()})
+    adjoint = {low + i * base: v for i, part in enumerate(adj) for low, v in part.items()}
+    return mul(adjoint, inv), den * content
+
+
+#: the coefficients c of the monomials c*h**e inverted
+MONOMIAL_COEFFICIENTS = (1, -1, 7, -7, 2**200 + 1)
+
+
+def _monomial_inverses(tower):
+    """For each monomial c*h**e of ``tower``, every digit pattern e, the
+    normal form of its inverse, or the length of the factor the inversion
+    raised with: (closed form, adjugate reference) pairs."""
+    pairs = []
+    for exps in itertools.product(*(range(lv.deg) for lv in tower.levels)):
+        key = sum(e * base for e, base in zip(exps, tower.bases))
+        for c in MONOMIAL_COEFFICIENTS:
+            pair = []
+            for inverse in (tower.inverse, lambda terms: _adjugate_inverse(tower, terms)):
+                try:
+                    x = _normal(tower, *inverse({key: c}))
+                    pair.append((x.terms, x.den))
+                except ReducibleExtensionError as exc:
+                    pair.append(len(exc.factor))
+            pairs.append(pair)
+    return pairs
+
+
+def test_monomial_inverse_matches_the_adjugate_on_random_towers():
+    rng = random.Random(20261020)
+    cube = 0
+    for _ in range(30):
+        degs = [rng.choice((2, 3)) for _ in range(rng.randint(1, 4))]
+        tower, _, _ = _random_tower(rng, degs)
+        cube += 3 in degs
+        for got, want in _monomial_inverses(tower):
+            assert got == want
+    assert cube >= 20
+
+
+def test_monomial_inverse_raises_like_the_adjugate_on_zero_divisor_towers():
+    rng = random.Random(20261021)
+    inverted = raised = 0
+    for _ in range(8):
+        tower = _zero_divisor_tower(rng)[0]
+        for got, want in _monomial_inverses(tower):
+            assert got == want
+            raised += got.__class__ is int
+            inverted += got.__class__ is not int
+    assert inverted >= 250 and raised >= 2000
+
+
+def _rule_inversions(monkeypatch, text):
+    """How often ``solve --verify`` of ``text`` inverts each level's rule."""
+    counts = Counter()
+    inverse = Tower.inverse
+
+    def spy(tower, terms):
+        counts.update(i for i, level in enumerate(tower.levels) if terms is level.rule)
+        return inverse(tower, terms)
+
+    monkeypatch.setattr(Tower, "inverse", spy)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert run(["solve", "--verify", "--", text]) == 0
+    return counts
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the first cubic and the first quartic of the bench's seed-1 corpora
+        "7/2*x^3 - 1/2*x^2 + 16/13*x - 2/7",
+        "1/3*x^4 + 2/5*x^3 + 8/5*x^2 - 7*x + 13/17",
+    ],
+)
+def test_a_solve_inverts_each_level_rule_at_most_once(monkeypatch, text):
+    counts = _rule_inversions(monkeypatch, text)
+    assert counts and max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("q", [5, -12, 0, Fraction(-7, 3), Fraction(0), "-7/3", "4", 0.25, -2.5, True])
+def test_rational_equals_the_element_of_its_fraction(q):
+    t = Tower()
+    x, old = t.rational(q), Fraction(q)
+    assert (x.terms, x.den) == ({0: old.numerator} if old else {}, old.denominator)
+    assert all(v.__class__ is int for v in x.terms.values()) and x.den.__class__ is int
