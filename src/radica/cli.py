@@ -52,8 +52,9 @@ class ParseError(ValueError):
 
 class PolynomialInput:
     """Parsed polynomial: variable name, degree -> coefficient map (exact
-    rationals, or floats when decimal literals force the complex backend),
-    the source text, and whether the coefficients are exact."""
+    rationals, a decimal read as the rational it writes), the source text,
+    and whether it has no decimal, which routes it to the exact backend and
+    writes its JSON coefficients as fractions."""
 
     def __init__(self, variable, coefficients, source, exact):
         self.variable = variable
@@ -108,19 +109,19 @@ def _is_decimal(number, pos):
 def parse_polynomial(text):
     """Parse signed terms of the form ``[coef][*][var[^exp]]``.
 
-    Coefficients are integers, rationals ``a/b``, or decimals (decimals
-    mark the input as inexact).  Whitespace is insignificant, each term
-    takes at most one sign, the variable name must be consistent, and
-    like-degree terms are summed.  Each term is one match of ``_TERM``; a
-    parse error gives the offset where the text stops fitting the grammar.
+    Coefficients are integers, rationals ``a/b``, or decimals, each read as
+    an exact pair (a decimal marks the input for the complex backend; one
+    that reads as an infinite double is a parse error).  Whitespace is
+    insignificant, each term takes at most one sign, the variable name must
+    be consistent, and like-degree terms are summed exactly.  Each term is
+    one match of ``_TERM``; a parse error gives the offset where the text
+    stops fitting the grammar.
     """
     end = len(text)
     start = pos = end - len(text.lstrip())  # lstrip strips what str.isspace accepts
     if pos == end:
         raise ParseError("empty input", pos)
-    # degree -> the sum so far: an exact pair (n, d), or a float once a
-    # decimal term meets it, added as Fraction and float would add
-    sums = {}
+    sums = {}  # degree -> the sum so far, as an exact pair (n, d)
     variable = None
     exact = True
     while pos < end:
@@ -134,12 +135,13 @@ def parse_polynomial(text):
         n = d = 1
         if coef is not None:
             if _is_decimal(coef, m.start(2)):
-                n = float(coef)
-                if not math.isfinite(n):
+                if not math.isfinite(float(coef)):
                     raise ParseError("coefficient is not finite", m.end(2))
                 exact = False
                 if slash:
                     raise ParseError("decimal coefficients take no denominator", m.start(3))
+                whole, _, frac = coef.partition(".")
+                n, d = int(whole + frac), 10 ** len(frac)
             else:
                 n = int(coef)
                 if slash:
@@ -179,23 +181,10 @@ def parse_polynomial(text):
 
         if sign[:1] == "-":
             n = -n
-        old = sums.get(degree, 0)
-        if n.__class__ is float:
-            sums[degree] = (old[0] / old[1] if old.__class__ is tuple else old) + n
-        elif old.__class__ is tuple:
-            sums[degree] = old[0] * d + n * old[1], old[1] * d
-        elif old.__class__ is float:
-            sums[degree] = old + n / d
-        else:
-            sums[degree] = n, d
+        old = sums.get(degree)
+        sums[degree] = (n, d) if old is None else (old[0] * d + n * old[1], old[1] * d)
 
-    coefficients = {}
-    for degree, value in sums.items():
-        if value.__class__ is float:
-            if value:
-                coefficients[degree] = value
-        elif value[0]:
-            coefficients[degree] = Fraction(*value) if exact else value[0] / value[1]
+    coefficients = {degree: Fraction(*value) for degree, value in sums.items() if value[0]}
     return PolynomialInput(
         variable=variable or "x",
         coefficients=coefficients,
@@ -330,12 +319,12 @@ def _cmd_solve(args):
     dense = _dense_coeffs(poly)
     try:
         if use_complex:
+            field = ComplexField()
             coeffs = [complex(float(c)) for c in dense]
-            field = ComplexField(scale=max(abs(z) for z in coeffs))
         else:
             field = TowerField()
             coeffs = [field.from_rational(c) for c in dense]
-        records = _solve(field, coeffs, args.paper_strict)
+        records = _solve(field, dense, args.paper_strict)
         if args.verify:
             report = verify_solution(field, coeffs, records)
             values = report.residuals

@@ -54,10 +54,10 @@ def approx_eq(x, y, tol):
 class ComplexField(FieldCapabilities):
     """Field capabilities over python ``complex`` values.
 
-    Zero testing is thresholded at 1e-12 relative to ``scale``; callers
-    solving a polynomial pass its max coefficient magnitude so case splits
-    see coefficients that are zero "for this problem".  The threshold is a
-    documented heuristic -- the exact backend is authoritative.
+    ``is_zero`` is ``x == 0``.  The solvers decide a case split on a
+    rational value by its literal (see ``solvers._Traced``), so on rational
+    coefficients only radicals, which an earlier exact test has proved
+    nonzero, and a library caller's own complex inputs reach it.
     """
 
     name = "complex"
@@ -65,9 +65,6 @@ class ComplexField(FieldCapabilities):
 
     zero = 0j
     one = 1 + 0j
-
-    def __init__(self, scale=1.0):
-        self.zero_tol = 1e-12 * max(1.0, float(scale))
 
     def add(self, x, y):
         return x + y
@@ -84,7 +81,7 @@ class ComplexField(FieldCapabilities):
         return 1 / x
 
     def is_zero(self, x):
-        return abs(x) <= self.zero_tol
+        return x == 0
 
     def sqrt(self, x):
         return csqrt_principal(x)

@@ -19,11 +19,13 @@ class FieldCapabilities:
 
     ``inverse`` is witness-guarded: the argument must be nonzero and
     backends raise ``ZeroDivisionError`` otherwise (there is no 0**-1 == 0
-    convention).  ``is_zero`` is the backend's zero test, which the solvers
-    rely on for case splits.  It is not a decision procedure on every
-    backend: on a tower with a reducible level, such as the cube root of
-    -100/27 behind ``x^3 - 7*x + 6``, a nonzero representation can embed as
-    0, so that solve prints ``2 + 4.44e-16i`` and never ``(exactly 2)``
+    convention).  ``is_zero`` is the backend's exact zero test: ``x == 0``
+    on complex doubles, an empty normal form on the tower.  The solvers
+    decide a case split on a rational value by its literal, and reach
+    ``is_zero`` only for a radical.  It is not a decision procedure on
+    every backend: on a tower with a reducible level, such as the cube root
+    of -100/27 behind ``x^3 - 7*x + 6``, a nonzero representation can embed
+    as 0, so that solve prints ``2 + 4.44e-16i`` and never ``(exactly 2)``
     (ROADMAP item 2).
     """
 

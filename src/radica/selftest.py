@@ -269,7 +269,7 @@ def check_differential_oracle(rng, n):
         ]
         if abs(coeffs[0]) < 0.05:
             continue
-        field = ComplexField(scale=max(abs(z) for z in coeffs))
+        field = ComplexField()
         records = (
             solve_cubic(field, *coeffs) if degree == 3 else solve_quartic(field, *coeffs)
         )

@@ -17,17 +17,20 @@ elements.  There is one solver per degree, ``solve_linear`` to
 ``solve_quartic``, each taking leading-first general coefficients and
 returning root records; the solvers run the same formulas over
 ``_Traced``, one backend over either field whose elements pair the wrapped
-backend's value with the radical tree that produced it.  A rational value
-stays a literal, which the tree's literal fold computes exactly: over the
-exact field, depressing, the resolvent and Cardano's inner term are
-arithmetic in Q, and the value becomes a tower element only when it meets
-an irrational value, a root, ``to_complex`` or a record.  By default the
-cubic and quartic solvers case-split on ``is_zero`` and cover every
-degenerate input; with ``strict=True`` they demand the paper's
-nonzeroness hypotheses instead and raise ``StrictHypothesisViolation``.
-The case splits are only as faithful as the backend's ``is_zero``, which
-on a reducible tower can miss a zero (see ``FieldCapabilities`` and
-ROADMAP item 2); a rational value's test reads its literal.
+backend's value with the radical tree that produced it.  A coefficient may
+be an ``int`` or a ``Fraction``, as the CLI passes them on both backends,
+or a backend element.  A rational value stays a literal, which the tree's
+literal fold computes exactly: normalizing to monic, depressing, the
+resolvent and Cardano's inner term are arithmetic in Q, and the value
+becomes a backend element only when it meets an irrational value, a root,
+``to_complex`` or a record.  By default the cubic and quartic solvers
+case-split on ``is_zero`` and cover every degenerate input; with
+``strict=True`` they demand the paper's nonzeroness hypotheses instead and
+raise ``StrictHypothesisViolation``.  Every case split on rational
+coefficients tests a rational value, whose test reads its literal, or a
+square root that an earlier exact test has proved nonzero; on a reducible
+tower the backend's ``is_zero`` of such a root can still miss a zero (see
+``FieldCapabilities`` and ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -100,19 +103,21 @@ class _Traced(FieldCapabilities):
     text.
 
     A rational stays a literal until it is read: ``from_rational``, and
-    ``wrap`` of a value the backend knows to be rational, give a ``_TV``
-    whose ``value`` is ``None``, pending.  Two pending operands combine by
-    the literal fold alone, which computes the exact value, and ``is_zero``
-    of a pending value reads the literal's numerator.  When a pending value
-    meets a backend value, a root, ``to_complex`` or a record, ``_read``
-    makes its backend element from the literal, once, and keeps it.  The
-    tree is the same either way, and so is the element: the exact normal
-    form is unique, and on the complex backend no two pending values meet,
-    as its decimal inputs are never rational to it.
+    ``wrap`` of an ``int``, a ``Fraction`` or a value the backend knows to
+    be rational, give a ``_TV`` whose ``value`` is ``None``, pending.  Two
+    pending operands combine by the literal fold alone, which computes the
+    exact value, and ``is_zero`` of a pending value reads the literal's
+    numerator.  When a pending value meets a backend value, a root,
+    ``to_complex`` or a record, ``_read`` makes its backend element from
+    the literal, once, and keeps it.  So the backend first sees a value at
+    the first radical: on the exact backend it is the element the eager
+    arithmetic would make, as the normal form is unique; on the complex
+    backend it is the double nearest the exact rational.
     """
 
     def __init__(self, field):
         self.f = field
+        self.is_exact = field.is_exact
         self._omega = None
         self._lits = {}
 
@@ -129,7 +134,7 @@ class _Traced(FieldCapabilities):
         return value
 
     def wrap(self, x):
-        q = self.f.as_rational(x)
+        q = x if x.__class__ is Fraction or x.__class__ is int else self.f.as_rational(x)
         if q is not None:
             return _TV(None, radicals.lit(q))
         z = self.f.to_complex(x)
@@ -215,11 +220,12 @@ class _Traced(FieldCapabilities):
         )
 
 
-def _monic(field, a, *rest):
-    if field.is_zero(a):
+def _monic(t, a, *rest):
+    """The wrapped ``rest`` over the wrapped leading coefficient ``a``."""
+    a = t.wrap(a)
+    if t.is_zero(a):
         raise DegenerateLeadingTerm("degenerate leading coefficient")
-    ainv = field.inverse(a)
-    return [field.mul(x, ainv) for x in rest]
+    return [t.div(t.wrap(x), a) for x in rest]
 
 
 def _shifted_records(t, roots, shift):
@@ -256,9 +262,8 @@ def solve_quadratic(field, a, b, c):
     (-B - ...)/2; for B = 0 the pair is (sqrt(-C), -sqrt(-C)) directly.
     When the discriminant is zero the two roots coincide.
     """
-    nb, nc = _monic(field, a, b, c)
     t = _Traced(field)
-    plus, minus = _quadratic_monic(t, t.wrap(nb), t.wrap(nc))
+    plus, minus = _quadratic_monic(t, *_monic(t, a, b, c))
     return [t.record("quadratic-plus", plus), t.record("quadratic-minus", minus)]
 
 
@@ -383,9 +388,8 @@ def solve_cubic(field, a, b, c, d, strict=False):
     c' != 0 is Cardano's own zero test, on the same traced element; d' != 0
     is demanded in addition.
     """
-    nb, nc, nd = _monic(field, a, b, c, d)
     t = _Traced(field)
-    cp, dp, shift = depress_cubic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd))
+    cp, dp, shift = depress_cubic(t, *_monic(t, a, b, c, d))
     if strict:
         if t.is_zero(cp):
             raise StrictHypothesisViolation("3ac - b^2 = 0")
@@ -435,15 +439,16 @@ def resolvent_coeffs(f, c, d, e):
 def quartic_split_depressed(f, c, d, e, strict=False, resolvent_root=None):
     """(p, q, s) splitting u**4 + cu**2 + du + e into (u**2 + pu + q)(u**2 - pu + s).
 
-    Picks a nonzero root P of the resolvent cubic: the candidates are
-    taken lazily in ``_cubic_depressed_roots`` order (Cardano-A first in
-    the generic case) and the first nonzero one is used, so the later
-    branches, and the omega they need, are built only when the first
-    candidate is zero.  ``strict`` solves the resolvent as ``solve_cubic``
-    does in strict mode.  Then p = sqrt(P), q = (c + P - d/p)/2 and
-    s = (c + P + d/p)/2; the expansion identity holds exactly in the exact
-    backend.  ``resolvent_root`` overrides the choice of P.  Requires
-    d != 0.
+    Takes a root P of the resolvent cubic, which is nonzero as d is: the
+    first in ``_cubic_depressed_roots`` order (Cardano-A in the generic
+    case), so the later branches, and the omega they need, are not built.
+    Only on an inexact backend, where that root is below 2**-26 of the
+    scale of the resolvent's roots and so has lost over half its digits, is
+    the largest of the three taken instead.  ``strict`` solves the
+    resolvent as ``solve_cubic`` does in strict mode.  Then p = sqrt(P),
+    q = (c + P - d/p)/2 and s = (c + P + d/p)/2; the expansion identity
+    holds exactly in the exact backend.  ``resolvent_root`` overrides the
+    choice of P.  Requires d != 0.
     """
     if f.is_zero(d):
         raise BiquadraticQuartic("biquadratic case")
@@ -452,19 +457,23 @@ def quartic_split_depressed(f, c, d, e, strict=False, resolvent_root=None):
 
 def _quartic_split(f, c, d, e, strict, resolvent_root=None):
     """``quartic_split_depressed`` for a d the caller has tested nonzero."""
-    if resolvent_root is not None:
-        candidates = [resolvent_root]
-    else:
-        cp, dp, shift = depress_cubic(f, *resolvent_coeffs(f, c, d, e))
-        candidates = (f.sub(r, shift) for _, r in _cubic_depressed_roots(f, cp, dp, strict))
-    # every resolvent root is nonzero when d != 0 (their product is d**2),
-    # but the float backend's zero test may fire near zero; fall through
-    big_p = next((cand for cand in candidates if not f.is_zero(cand)), None)
-    if big_p is None:
-        raise SolverError("no usable resolvent root")
-    p = f.sqrt(big_p)
+    if resolvent_root is None:
+        coeffs = resolvent_coeffs(f, c, d, e)
+        cp, dp, shift = depress_cubic(f, *coeffs)
+        roots = (f.sub(r, shift) for _, r in _cubic_depressed_roots(f, cp, dp, strict))
+        resolvent_root = next(roots)
+        # No resolvent root is zero (they multiply to d**2, tested exactly),
+        # but a double gets one only to about 2**-53 of the roots' scale M,
+        # the largest |a_k|**(1/k) of P**3 + a_1*P**2 + a_2*P + a_3.  A first
+        # root below 2**-26*M has lost over half its digits; the largest, at
+        # least M/3, has not.
+        if not f.is_exact:
+            scale = max(abs(f.to_complex(a)) ** (1 / k) for k, a in enumerate(coeffs, 1))
+            if abs(f.to_complex(resolvent_root)) < 2**-26 * scale:
+                resolvent_root = max((resolvent_root, *roots), key=lambda x: abs(f.to_complex(x)))
+    p = f.sqrt(resolvent_root)
     d_over_p = f.div(d, p)
-    base = f.add(c, big_p)
+    base = f.add(c, resolvent_root)
     two = f.from_rational(2)
     q = f.div(f.sub(base, d_over_p), two)
     s = f.div(f.add(base, d_over_p), two)
@@ -507,9 +516,8 @@ def solve_quartic(field, a, b, c, d, e, strict=False):
     c'**2 + 12e' != 0 the resolvent Cardano's (its depressed linear
     coefficient is -(c'**2 + 12e')/3); e' != 0 is demanded in addition.
     """
-    nb, nc, nd, ne = _monic(field, a, b, c, d, e)
     t = _Traced(field)
-    cp, dp, ep, shift = depress_quartic(t, t.wrap(nb), t.wrap(nc), t.wrap(nd), t.wrap(ne))
+    cp, dp, ep, shift = depress_quartic(t, *_monic(t, a, b, c, d, e))
     if strict:
         if t.is_zero(dp):
             raise StrictHypothesisViolation("depressed d' = 0 (biquadratic case)")

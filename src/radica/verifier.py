@@ -87,7 +87,9 @@ def durand_kerner(coeffs, tol=1e-12, max_iter=200):
 
     ``coeffs`` is leading-first with nonzero leading coefficient, degree
     at least 1.  Deterministic initialization at powers of 0.4 + 0.9i;
-    iterates until the largest correction is at most ``tol``.
+    iterates until the largest correction is at most ``tol``, and raises
+    ``NoConvergence`` after ``max_iter`` sweeps that do not get there, as
+    when the iterate overflows to NaN.
     """
     if len(coeffs) < 2:
         raise ValueError("degree must be at least 1")
@@ -114,7 +116,7 @@ def durand_kerner(coeffs, tol=1e-12, max_iter=200):
             corr = acc / den
             roots[i] = zi - corr
             size = abs(corr)
-            if size > worst:
+            if not size <= worst:  # a NaN correction too: NaN never converges
                 worst = size
         if worst <= tol:
             return roots

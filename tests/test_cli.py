@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 import radica.cli as cli
-from radica import RootRecord, VerificationReport, selftest
+from radica import RootRecord, TowerField, VerificationReport, selftest, solve_cubic
 from radica.cli import ParseError, PolynomialInput, parse_polynomial, run
-from radica.radicals import lit
+from radica.radicals import evaluate, lit
 from radica.solvers import render_radical
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -171,17 +171,21 @@ def test_solve_paper_strict_rejects_documented_cases(capsys):
 @pytest.mark.parametrize(
     "text, needle",
     [
-        # c' is zero at the complex backend's tolerance, 3ac - b^2 is not
-        ("10*x^3 + 0.000000000001*x + 1", "3ac - b^2"),
-        # the resolvent's depressed linear coefficient is zero at that
-        # tolerance, c'^2 + 12e' is not
-        ("x^4 + 3.4641016151365043*x^2 + 1.0*x - 1.0", "12e'"),
+        # c' = 3 - 0.3^2/(3*0.1^2) is 0 in the decimals, not in doubles
+        ("0.1*x^3 + 0.3*x^2 + 0.3*x + 1", "3ac - b^2"),
+        # c' = 0.6 and e' = -0.03, so c'^2 + 12e' = 0
+        ("0.1*x^4 + 0.06*x^2 + 0.1*x - 0.003", "12e'"),
     ],
 )
 def test_solve_paper_strict_rejects_float_inputs_the_formulas_reject(capsys, text, needle):
     assert run(["solve", "--paper-strict", "--", text]) == 4
     err = capsys.readouterr().err
     assert "paper-strict mode rejects this input" in err and needle in err
+
+
+def test_solve_paper_strict_decides_decimal_inputs_exactly():
+    # c' = 1e-13 is small but not zero
+    assert run(["solve", "--paper-strict", "--verify", "--", "10*x^3 + 0.000000000001*x + 1"]) == 0
 
 
 def test_solve_paper_strict_accepts_generic_input():
@@ -361,6 +365,47 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
 )
 def test_verify_depth6_quartic_matches_oracle(capsys):
     assert run(["solve", "--verify", "--", "-7/15*x^4 + 1/6*x^3 + 14*x^2 - 5/2*x + 1/3"]) == 0
+
+
+#: the real root of -20*x^3 - 7/3*x^2 - 1/11*x - 5, exact-cubic seed 30,
+#: case 638 of the bench corpus, from mpmath.polyroots at 30 digits
+CORPUS_CUBIC_REAL_ROOT = -0.6687952804288546
+
+
+def _corpus_cubic_real_root():
+    f = TowerField()
+    coeffs = (f.from_rational(Fraction(c)) for c in ("-20", "-7/3", "-1/11", "-5"))
+    record = solve_cubic(f, *coeffs)[0]
+    assert record.label == "cardano-A"
+    return record
+
+
+def test_corpus_cubic_radical_evaluates_to_its_root():
+    record = _corpus_cubic_real_root()
+    assert abs(evaluate(record.radical) - CORPUS_CUBIC_REAL_ROOT) < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="TowerElement.to_complex loses the companion c/(3t), with c = 1/118800, "
+    "so the printed root is about 6.7e-7 off, inside the oracle's 1e-6",
+)
+def test_corpus_cubic_embedding_matches_its_root():
+    assert abs(_corpus_cubic_real_root().approx - CORPUS_CUBIC_REAL_ROOT) < 1e-12
+
+
+def test_verify_notes_an_oracle_that_overflows(capsys):
+    # Durand-Kerner's iterate overflows to NaN on the 80-digit coefficient
+    big = "1" + "0" * 80
+    assert run(["solve", "--verify", "--", f"- 91058/3122*x^4 + {big}*x^3 + 3*x^2"]) == 0
+    out = capsys.readouterr().out
+    assert "oracle skipped" in out and "oracle did not converge within 200 iterations" in out
+
+
+def test_solve_decimal_input_far_beyond_the_old_zero_tolerance(capsys):
+    # the leading coefficient is 1e-41 of the largest; c' is nonzero in Q
+    text = "67422875422606543926987146033637980184155.2*x^3 - 3.9*x - 64.1"
+    assert run(["solve", "--verify", "--", text]) == 0
 
 
 def test_selftest_passes_every_criterion(capsys, monkeypatch):

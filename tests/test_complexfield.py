@@ -93,4 +93,6 @@ def test_inverse_of_zero_is_guarded():
     with pytest.raises(ZeroDivisionError):
         f.inverse(0j)
     with pytest.raises(ZeroDivisionError):
-        f.inverse(1e-14 + 0j)  # below the relative zero threshold
+        f.inverse(complex(-0.0, 0.0))
+    # zero is zero: no threshold, however small the value
+    assert f.inverse(1e-300 + 0j) == 1 / (1e-300 + 0j)

@@ -34,7 +34,8 @@ def test_parse_returns_input_or_error_with_offset_in_text(text):
 
 # -- the character scanner, kept as the reference -------------------------------
 # ``_Scanner`` and ``parse_polynomial`` as the CLI had them before one regular
-# expression per term replaced them, unchanged but for the function's name.
+# expression per term replaced them, unchanged but for the function's name
+# and for the value of a decimal, which is now the exact rational it writes.
 
 class _Scanner:
     def __init__(self, text):
@@ -128,9 +129,9 @@ def reference_parse(text):
         if ch.isdecimal() or ch == ".":
             num_text, is_decimal = sc.scan_number()
             if is_decimal:
-                coef = float(num_text)
-                if not math.isfinite(coef):
+                if not math.isfinite(float(num_text)):
                     raise ParseError("coefficient is not finite", sc.pos)
+                coef = Fraction(num_text)
                 exact = False
             else:
                 coef = Fraction(int(num_text))
@@ -179,8 +180,6 @@ def reference_parse(text):
         coefficients[degree] = coefficients.get(degree, 0) + value
 
     coefficients = {d: v for d, v in coefficients.items() if v != 0}
-    if not exact:
-        coefficients = {d: float(v) for d, v in coefficients.items()}
     return PolynomialInput(
         variable=variable or "x",
         coefficients=coefficients,
@@ -225,6 +224,8 @@ TRICKY = GRAMMAR + "_\u0663\uff17\u00b2\u00b9\u00bd\u2167\u00e9e\u0301\u4e00\u00
 @example("x + \u00bd")
 @example("x\u2167^2")
 @example("1/3*x + 0.5*x - 1/6*x^2 + 0.25*x^2")
+@example("1.1*x^2 + 2.2*x^2")
+@example(".5*x + 5.*x")
 @example("0.0*x - 0.0*x + x")
 @example("-0.0 + x")
 @example("1" * 400 + ".0*x")
@@ -233,6 +234,13 @@ TRICKY = GRAMMAR + "_\u0663\uff17\u00b2\u00b9\u00bd\u2167\u00e9e\u0301\u4e00\u00
 @example("x + 1/" + "3" * 5000)
 def test_parser_agrees_with_the_scanner_on_arbitrary_text(text):
     _agree(text)
+
+
+def test_decimal_sums_are_exact():
+    # in doubles, 1.1 + 2.2 is 3.3000000000000003
+    poly = parse_polynomial("1.1*x^2 + 2.2*x^2 - 0.1*x + 1/10*x + 0.000000000001")
+    assert poly.coefficients == {2: Fraction(33, 10), 0: Fraction(1, 10**12)}
+    assert not poly.exact
 
 
 def _corpus_texts(monkeypatch):

@@ -12,6 +12,7 @@ from radica import (
     DegenerateLeadingTerm,
     ReducibleExtensionError,
     RootRecord,
+    SolverError,
     StrictHypothesisViolation,
     TowerElement,
     TowerField,
@@ -226,19 +227,14 @@ def test_exact_cubic_takes_one_cube_root(monkeypatch):
 
 
 class _ZeroTestCounter(TowerField):
-    """Counts the backend's zero tests, and of those the ones made outside
-    the trace backend's ``is_zero`` (``_monic``'s test of the leading
-    coefficient)."""
+    """Counts the backend's zero tests."""
 
     def __init__(self):
         super().__init__()
         self.zero_tests = 0
-        self.untraced_zero_tests = 0
-        self.in_tracer = False
 
     def is_zero(self, x):
         self.zero_tests += 1
-        self.untraced_zero_tests += not self.in_tracer
         return super().is_zero(x)
 
 
@@ -247,35 +243,31 @@ class _ZeroTestCounter(TowerField):
     [
         # the leading coefficient, then c' and d' in the split
         (solve_cubic, (2, 1, -3, 5), 3, 5),
-        # the leading coefficient, d', the resolvent's c and d, the first
-        # candidate, and the two quadratics' linear terms
-        (solve_quartic, (3, -1, 2, 5, -7), 7, 8),
+        # the leading coefficient, d', the resolvent's c and d, and the two
+        # quadratics' linear terms, +-p, which are radicals
+        (solve_quartic, (3, -1, 2, 5, -7), 6, 7),
     ],
 )
 def test_each_case_split_tests_its_element_once(monkeypatch, solve, coeffs, total, strict):
     """Zero tests are counted where the formulas make them, at the trace
-    backend, plus ``_monic``'s on the backend.  A rational value's test
-    reads its literal and never reaches the backend: the cubic's c' and d'
-    are rational, and so are the quartic's d', e' and resolvent."""
+    backend.  A rational value's test reads its literal and never reaches
+    the backend: the leading coefficient, the cubic's c' and d' and the
+    quartic's d', e' and resolvent are rational.  Only a test of a radical
+    does, and the resolvent root the quartic split takes is not tested."""
     traced = []
     real = _Traced.is_zero
 
     def counted(self, x):
         traced.append(x)
-        self.f.in_tracer = True
-        try:
-            return real(self, x)
-        finally:
-            self.f.in_tracer = False
+        return real(self, x)
 
     monkeypatch.setattr(_Traced, "is_zero", counted)
-    backend = {solve_cubic: 1, solve_quartic: 4}[solve]
+    backend = {solve_cubic: 0, solve_quartic: 2}[solve]
     for is_strict, want in ((False, total), (True, strict)):
         traced.clear()
         f = _ZeroTestCounter()
         solve(f, *(f.from_rational(q) for q in coeffs), strict=is_strict)
-        assert len(traced) + f.untraced_zero_tests == want
-        assert f.untraced_zero_tests == 1
+        assert len(traced) == want
         assert f.zero_tests == backend
 
 
@@ -463,38 +455,6 @@ def test_generic_exact_quartic_never_takes_omega(monkeypatch):
     assert all(level.radicand != (((0, -3),), 1) for level in f.tower.levels)
 
 
-class _FirstResolventCandidateZero(TowerField):
-    """Reports the first resolvent candidate as zero: on the quartic path it
-    is the first zero test after the first cube root."""
-
-    def __init__(self):
-        super().__init__()
-        self.cubed = self.fired = False
-
-    def cbrt(self, x):
-        self.cubed = True
-        return super().cbrt(x)
-
-    def is_zero(self, x):
-        if self.cubed and not self.fired:
-            self.fired = True
-            return True
-        return super().is_zero(x)
-
-
-def test_quartic_split_falls_through_to_cardano_b():
-    f = _FirstResolventCandidateZero()
-    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
-    records = solve_quartic(f, *coeffs)
-    assert f.fired
-    # branch B multiplies by omega, which adjoins sqrt(-3)
-    assert any(level.radicand == (((0, -3),), 1) for level in f.tower.levels)
-    report = verify_solution(f, coeffs, records)
-    assert report.passed
-    assert report.factorization_exact is True
-    assert len({r.label for r in records}) == 4
-
-
 def test_quartic_split_rejects_biquadratic():
     f = TowerField()
     with pytest.raises(BiquadraticQuartic):
@@ -609,17 +569,24 @@ def test_strict_quartic_rejections():
 @pytest.mark.parametrize(
     "solve, coeffs, needle",
     [
-        (solve_cubic, (10, 0, 1e-12, 1), "3ac - b\\^2"),
-        (solve_quartic, (1, 0, 3.4641016151365043, 1.0, -1.0), "12e'"),
+        # c' = 3 - 0.3**2/(3*0.1**2) = 0 in Q, not in doubles
+        (solve_cubic, ("0.1", "0.3", "0.3", "1"), "3ac - b\\^2"),
+        # the resolvent's depressed linear coefficient -(c'^2 + 12e')/3 with
+        # c' = 0.6 and e' = -0.03
+        (solve_quartic, ("0.1", "0", "0.06", "0.1", "-0.003"), "12e'"),
     ],
 )
 def test_strict_rejects_what_the_formulas_reject_on_the_complex_backend(solve, coeffs, needle):
-    # with the CLI's scale (the largest coefficient magnitude), the cubic's
-    # depressed c' and the quartic resolvent's depressed linear coefficient
-    # -(c'^2 + 12e')/3 test zero, which Cardano would reject
-    f = ComplexField(scale=max(abs(q) for q in coeffs))
+    # the decimals go in as the CLI passes them, as exact rationals, so the
+    # hypotheses are decided in Q
     with pytest.raises(StrictHypothesisViolation, match=needle):
-        solve(f, *(complex(q) for q in coeffs), strict=True)
+        solve(ComplexField(), *map(Fraction, coeffs), strict=True)
+
+
+def test_the_complex_backend_decides_tiny_coefficients_exactly():
+    # 10x^3 + 1e-12x + 1: c' is 1e-13, nonzero, so strict mode takes Cardano
+    records = solve_cubic(ComplexField(), 10, 0, Fraction("1e-12"), 1, strict=True)
+    assert [r.label for r in records] == ["cardano-A", "cardano-B", "cardano-C"]
 
 
 def test_strict_quartic_matches_total_on_generic_input():
@@ -740,9 +707,79 @@ def test_branch_totality_under_flipped_sqrt():
     assert _multiset(a) == _multiset(b)
 
 
+def _labels_or_error(field, qs, strict):
+    solve = solve_cubic if len(qs) == 4 else solve_quartic
+    try:
+        return sorted(r.label for r in solve(field, *qs, strict=strict))
+    except SolverError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_both_backends_decide_decimal_input_alike():
+    """Fed the same decimal rationals, the complex and the exact backend take
+    the same case split: the labels, or the strict rejection, agree.  Repeated
+    one-decimal roots make c', d' and the resolvent's terms vanish; scaled
+    coefficients put up to 1e40 between the largest and the smallest."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tenths = st.integers(-30, 30).map(lambda n: Fraction(n, 10))
+    repeated = st.sampled_from([Fraction(-1, 2), Fraction(3, 10), 1])
+    roots = st.integers(3, 4).flatmap(
+        lambda n: st.lists(repeated | tenths, min_size=n, max_size=n)
+    )
+    from_roots = st.builds(
+        lambda lead, rs: [lead * c for c in _product(*([1, -r] for r in rs))],
+        tenths.filter(bool),
+        roots,
+    )
+    decimal = st.builds(
+        lambda m, k: Fraction(m, 10) * Fraction(10) ** k, st.integers(-99, 99), st.integers(-20, 20)
+    )
+    scaled = st.integers(4, 5).flatmap(lambda n: st.lists(decimal, min_size=n, max_size=n)).filter(
+        lambda qs: qs[0] != 0
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(from_roots | scaled, st.booleans())
+    @hypothesis.example(
+        [Fraction("67422875422606543926987146033637980184155.2"), 0, Fraction("-3.9"), Fraction("-64.1")],
+        False,
+    )
+    # the resolvent's first root is tiny, and rounds to 0.0 in doubles
+    @hypothesis.example([Fraction("-0.1"), 0, 100000, Fraction("0.1"), 1], False)
+    def check(qs, strict):
+        got = _labels_or_error(ComplexField(), qs, strict)
+        assert got == _labels_or_error(TowerField(), qs, strict)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "coeffs, want",
+    [
+        # the resolvent's first root, about 1e-8, is lost to rounding
+        (
+            ("1", "0", "-10000", "-1", "-1.1"),
+            (-99.99995054996359, 100.00005054996139, -4.99999989e-05 + 0.010487969240526024j),
+        ),
+        # about x^4 - 4.48, whose first resolvent root, about 7e-11, is lost
+        # inside Cardano's formula rather than to its shift
+        (
+            ("67000.7", "-0.056", "-0.000075", "-0.0023", "-300000.3"),
+            (-1.4546567404723882, 1.4546571664898982, 2.0489732665703965e-07 + 1.4546569530962918j),
+        ),
+    ],
+)
+def test_complex_quartic_split_avoids_a_resolvent_root_lost_to_rounding(coeffs, want):
+    # want: roots from mpmath.polyroots at 40 digits, one of each conjugate pair
+    got = [r.approx for r in solve_quartic(ComplexField(), *map(Fraction, coeffs))]
+    for z in want:
+        assert min(abs(z - g) for g in got) <= 1e-9 * max(1, abs(z))
+
+
 def test_complex_backend_solves_decimal_style_inputs():
-    f = ComplexField(scale=10)
-    recs = solve_cubic(f, 1 + 0j, 0j, complex(-6.5), complex(-9.25))
+    f = ComplexField()
+    recs = solve_cubic(f, 1, 0, Fraction("-6.5"), Fraction("-9.25"))
     for r in recs:
         value = r.approx**3 - 6.5 * r.approx - 9.25
         assert abs(value) <= 1e-6 * 10
@@ -809,7 +846,8 @@ def test_exact_solves_never_invert_a_zero_divisor():
 #
 # ``_ReferenceTraced`` and ``_reference_record`` are the trace backend and the
 # record builder as they were before a rational value stayed a literal until
-# read, kept verbatim: each solve must give the same records through both.
+# read, kept verbatim but for ``is_exact``, which the quartic split reads:
+# each solve must give the same records through both.
 
 
 class _ReferenceTraced(FieldCapabilities):
@@ -818,6 +856,7 @@ class _ReferenceTraced(FieldCapabilities):
 
     def __init__(self, field):
         self.f = field
+        self.is_exact = field.is_exact
         self._omega = None
         self._lits = {}
 
@@ -998,8 +1037,7 @@ def test_complex_solves_match_the_eager_reference(monkeypatch, strict):
             qs = [round(rng.uniform(-5, 5), rng.choice((0, 3, 17))) for _ in range(degree + 1)]
             qs[0] = qs[0] or 1.0
             coeffs = [complex(q) for q in qs]
-            f = ComplexField(scale=max(abs(z) for z in coeffs))
-            _assert_same_solve(monkeypatch, f, coeffs, strict)
+            _assert_same_solve(monkeypatch, ComplexField(), coeffs, strict)
 
 
 def test_a_pending_division_by_zero_raises():
