@@ -41,6 +41,8 @@ from . import radicals
 from .fields import FieldCapabilities
 from .radicals import Cbrt, OmegaPow, Sqrt, render
 
+_DOUBLE_MIN = 2.2250738585072014e-308  # the least normal double
+
 
 class SolverError(Exception):
     pass
@@ -112,7 +114,8 @@ class _Traced(FieldCapabilities):
     the literal, once, and keeps it.  So the backend first sees a value at
     the first radical: on the exact backend it is the element the eager
     arithmetic would make, as the normal form is unique; on the complex
-    backend it is the double nearest the exact rational.
+    backend it is the double nearest the exact rational, and a radicand or
+    divisor must be a normal double (``_read_nonzero``).
     """
 
     def __init__(self, field):
@@ -131,6 +134,18 @@ class _Traced(FieldCapabilities):
             # an integer goes in as an int: the complex backend's float() of
             # a Fraction is a Python-level call, of an int a native one
             value = x.value = self.f.from_rational(lit.n if lit.d == 1 else lit.value)
+        return value
+
+    def _read_nonzero(self, x):
+        """``_read`` of a radicand or a divisor.  On doubles a nonzero
+        literal below the normal range has lost its digits, or reads as 0.0
+        against the exact tests that called it nonzero; the formula would
+        then answer for another input, so this raises ``SolverError``."""
+        value = x.value
+        if value is None:
+            value = self._read(x)
+            if not self.is_exact and x.expr.n and abs(value) < _DOUBLE_MIN:
+                raise SolverError("a nonzero radicand or divisor underflows a double")
         return value
 
     def wrap(self, x):
@@ -186,13 +201,13 @@ class _Traced(FieldCapabilities):
         expr = radicals.rdiv(x.expr, y.expr)
         if x.value is None and y.value is None:
             return _TV(None, expr)
-        return _TV(self.f.div(x.value or self._read(x), y.value or self._read(y)), expr)
+        return _TV(self.f.div(x.value or self._read(x), y.value or self._read_nonzero(y)), expr)
 
     def sqrt(self, x):
-        return _TV(self.f.sqrt(x.value or self._read(x)), Sqrt(x.expr))
+        return _TV(self.f.sqrt(x.value or self._read_nonzero(x)), Sqrt(x.expr))
 
     def cbrt(self, x):
-        radicand = x.value or self._read(x)
+        radicand = x.value or self._read_nonzero(x)
         value = self.f.cbrt(radicand)
         q = self.f.as_rational(radicand)
         if q is not None and q < 0:

@@ -408,6 +408,46 @@ def test_solve_decimal_input_far_beyond_the_old_zero_tolerance(capsys):
     assert run(["solve", "--verify", "--", text]) == 0
 
 
+@pytest.mark.parametrize("zeros", [155, 200])
+def test_solve_fails_where_a_radicand_underflows_a_double(zeros, capsys):
+    # Cardano's inner term is nonzero in Q, about 1e-311 or 1e-401, so no
+    # double holds it; read as 0.0 it dropped its square root, and the
+    # 200-zero cubic printed -1.70997594668e-67 for a root near -2.15e-67
+    text = f"1{'0' * zeros}.5*x^3 + x^2 - 2.5*x + 1"
+    assert run(["solve", "--verify", "--", text]) == 4
+    assert "a nonzero radicand or divisor underflows a double" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the roots are closer to mpmath than the float prefix's were, but the "
+    "residual check fails at the root near 9e4 (ROADMAP item 14)",
+)
+@pytest.mark.parametrize(
+    "text",
+    ["0.91*x^3 - 82000.2*x^2 + 0.40*x + 400.0", "- 60.0*x^3 - 9700000.7*x^2 - 0.04*x - 5100.1"],
+)
+def test_verify_passes_on_cubics_with_a_root_near_1e5(text):
+    assert run(["solve", "--verify", "--", text]) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the first resolvent root, above 2**-26 of the roots' scale, has lost "
+    "digits, and the oracle finds a root over 1e-6 off (ROADMAP items 12 and 14)",
+)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "- 620.2*x^4 + 7.9*x^3 + 95000.5*x^2 - 0.068*x + 0.86",
+        "270000.7*x^4 - 0.0097*x^3 + 5400000.4*x^2 - 7000.7*x - 13.3",
+        "490.9*x^4 - 500000.5*x^3 - 0.000000000034*x^2 + 0.0000000087*x + 0.00000000000006",
+    ],
+)
+def test_verify_passes_on_quartics_with_a_small_resolvent_root(text):
+    assert run(["solve", "--verify", "--", text]) == 0
+
+
 def test_selftest_passes_every_criterion(capsys, monkeypatch):
     monkeypatch.delenv("RADICA_SEED", raising=False)
     assert run(["selftest"]) == 0

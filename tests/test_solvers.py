@@ -1057,6 +1057,22 @@ def test_a_pending_division_by_zero_raises():
         assert wrapped.value is g and wrapped.expr.__class__ is radicals.Lit
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 10**400), Fraction(-3, 10**320)])
+def test_a_pending_radicand_or_divisor_that_underflows_a_double_raises(q):
+    t = _Traced(ComplexField())
+    x = t.wrap(2j)
+    for op in (t.sqrt, t.cbrt, lambda y: t.div(x, y)):
+        with pytest.raises(SolverError, match="underflows a double"):
+            op(t.wrap(q))
+    # an addend may underflow, and zero and the least normal double are read
+    assert t.add(x, t.wrap(q)).value == float(q) + 2j
+    assert t.sqrt(t.wrap(0)).value == 0
+    assert t.sqrt(t.wrap(Fraction(2) ** -1022)).value == 2**-511
+    # the tower holds every rational
+    t = _Traced(TowerField())
+    assert t.f.as_rational(t.div(t.sqrt(t.from_rational(2)), t.from_rational(q)).value) is None
+
+
 @pytest.mark.parametrize(
     "field, qs",
     [(TowerField, (3, -1, 2, 5, -7)), (ComplexField, (1.5, -2.25, 0.125, 3.3, -0.7))],
