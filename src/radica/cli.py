@@ -15,7 +15,6 @@ as they are.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import sys
@@ -110,8 +109,8 @@ def parse_polynomial(text):
     """Parse signed terms of the form ``[coef][*][var[^exp]]``.
 
     Coefficients are integers, rationals ``a/b``, or decimals, each read as
-    an exact pair (a decimal marks the input for the complex backend; one
-    that reads as an infinite double is a parse error).  Whitespace is
+    an exact pair of any size (a decimal marks the input for the complex
+    backend, which reports a value beyond double range).  Whitespace is
     insignificant, each term takes at most one sign, the variable name must
     be consistent, and like-degree terms are summed exactly.  Each term is
     one match of ``_TERM``; a parse error gives the offset where the text
@@ -135,8 +134,6 @@ def parse_polynomial(text):
         n = d = 1
         if coef is not None:
             if _is_decimal(coef, m.start(2)):
-                if not math.isfinite(float(coef)):
-                    raise ParseError("coefficient is not finite", m.end(2))
                 exact = False
                 if slash:
                     raise ParseError("decimal coefficients take no denominator", m.start(3))
@@ -317,20 +314,15 @@ def _cmd_solve(args):
     use_complex = args.field == "complex" or not poly.exact
     backend_name = "complex" if use_complex else "exact"
     dense = _dense_coeffs(poly)
+    field = ComplexField() if use_complex else TowerField()
     try:
-        if use_complex:
-            field = ComplexField()
-            coeffs = [complex(float(c)) for c in dense]
-        else:
-            field = TowerField()
-            coeffs = [field.from_rational(c) for c in dense]
         records = _solve(field, dense, args.paper_strict)
         if args.verify:
-            report = verify_solution(field, coeffs, records)
+            report = verify_solution(field, dense, records)
             values = report.residuals
         else:
             report = None
-            values, _ = residuals(field, coeffs, records)
+            values, _ = residuals(field, dense, records)
     except StrictHypothesisViolation as exc:
         print(f"paper-strict mode rejects this input: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -75,19 +75,18 @@ def check_cubic_factorization_uniqueness(rng, n):
     corpus = _cubic_corpus(rng, n)
     for c, d in corpus:
         f = TowerField()
-        coeffs = [f.one, f.zero, f.from_rational(c), f.from_rational(d)]
+        coeffs = [1, 0, c, d]
         report = verify_solution(f, coeffs, solve_cubic(f, *coeffs))
         ok &= report.residuals_ok and report.factorization_ok
     nonroot_checked = 0
     while nonroot_checked < n // 4:
         c, d = corpus[rng.randrange(len(corpus))]
         f = TowerField()
-        fc, fd = f.from_rational(c), f.from_rational(d)
-        records = solve_cubic(f, f.one, f.zero, fc, fd)
+        records = solve_cubic(f, 1, 0, c, d)
         x = f.from_rational(rand_fraction(rng))
         if any(f.eq(x, r.exact) for r in records):
             continue
-        if f.is_zero(horner_eval(f, [f.one, f.zero, fc, fd], x)):
+        if f.is_zero(horner_eval(f, [f.from_rational(q) for q in (1, 0, c, d)], x)):
             ok = False
         nonroot_checked += 1
     return ok, ""
@@ -100,13 +99,12 @@ def check_quadratic_suite(rng, n):
     for _ in range(n):
         a, b, c = rand_fraction(rng, nonzero=True), rand_fraction(rng), rand_fraction(rng)
         f = TowerField()
-        coeffs = [f.from_rational(q) for q in (a, b, c)]
-        records = solve_quadratic(f, *coeffs)
-        report = verify_solution(f, coeffs, records)
+        records = solve_quadratic(f, a, b, c)
+        report = verify_solution(f, [a, b, c], records)
         ok &= report.residuals_ok and report.factorization_ok
         x = f.from_rational(rand_fraction(rng))
         if not any(f.eq(x, r.exact) for r in records):
-            if f.is_zero(horner_eval(f, coeffs, x)):
+            if f.is_zero(horner_eval(f, [f.from_rational(q) for q in (a, b, c)], x)):
                 ok = False
     return ok, ""
 
@@ -132,7 +130,7 @@ def check_quartic_split_identity(rng, n):
             and f.eq(f.mul(q, s), fe)
         ):
             ok = False
-        coeffs = [f.one, f.zero, fc, fd, fe]
+        coeffs = [1, 0, c, d, e]
         _, residuals_ok = residuals(f, coeffs, solve_quartic(f, *coeffs))
         ok &= residuals_ok
     return ok, ""
@@ -200,17 +198,15 @@ def check_degenerate_coverage(rng, n):
 
     def solves_and_verifies(degree, coeffs):
         f = TowerField()
-        elems = [f.from_rational(q) for q in coeffs]
-        records = solve_cubic(f, *elems) if degree == 3 else solve_quartic(f, *elems)
-        report = verify_solution(f, elems, records)
+        records = solve_cubic(f, *coeffs) if degree == 3 else solve_quartic(f, *coeffs)
+        report = verify_solution(f, coeffs, records)
         return report.passed
 
     def strict_rejects(degree, coeffs, needle):
         f = TowerField()
-        elems = [f.from_rational(q) for q in coeffs]
         solve = solve_cubic if degree == 3 else solve_quartic
         try:
-            solve(f, *elems, strict=True)
+            solve(f, *coeffs, strict=True)
         except StrictHypothesisViolation as exc:
             return needle in str(exc)
         return False
@@ -391,8 +387,8 @@ def check_verified_cubic_solves(rng, n):
     """n general rational cubics pass the full verification report."""
     for _ in range(n):
         field = TowerField()
-        coeffs = [field.from_rational(rand_fraction(rng, 8, nonzero=True))]
-        coeffs += [field.from_rational(rand_fraction(rng, 8)) for _ in range(3)]
+        coeffs = [rand_fraction(rng, 8, nonzero=True)]
+        coeffs += [rand_fraction(rng, 8) for _ in range(3)]
         records = solve_cubic(field, *coeffs)
         if not verify_solution(field, coeffs, records).passed:
             return False, ""

@@ -6,16 +6,19 @@ root sets, and assembly of a per-solve verification report.  Exact
 residuals, in the report and from ``residuals`` alike (so with or without
 ``--verify`` on the CLI), come from the factorization identity first: when
 the roots expand to the monic input, each root is exact, and Horner runs
-only when the identity fails.  On rational input the expansion is compared
-with the input's coefficients in Q, so the monic input is never built in
-the tower.  Also hosts the negative demonstration: the uncorrected
-two-cube-roots formula fails under a valid but adversarial cube-root
-provider, while the corrected t = c/(3s) form never does.
+only when the identity fails.  The checks take the coefficients the
+solvers take, as numbers (``int`` or ``Fraction``, and ``complex`` or
+``float`` too on an inexact backend), not backend elements: the expansion
+is compared with them in Q, and the oracle reads their doubles.  Also
+hosts the negative demonstration: the uncorrected two-cube-roots formula
+fails under a valid but adversarial cube-root provider, while the
+corrected t = c/(3s) form never does.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .complexfield import ComplexField, approx_eq, ccbrt_principal, csqrt_principal
 
@@ -189,29 +192,30 @@ def _scale(numeric):
 def residuals(field, coeffs, records):
     """|p(root)| for each record, and whether every one is acceptable.
 
-    ``coeffs`` are leading-first backend elements.  A record with an exact
+    ``coeffs`` are the leading-first coefficients as numbers, as the
+    solvers take them: ``int`` or ``Fraction`` on either backend, and
+    ``complex`` or ``float`` too on an inexact one.  A record with an exact
     value must give literally zero; otherwise its approximation is
     substituted in complex doubles and must stay within 1e-6 times the
     largest coefficient magnitude (at least 1).  Exact records are proved
     by the factorization identity first and substituted by Horner only
     when it fails (see ``_vieta_first``).
     """
-    values, ok, _ = _vieta_first(field, coeffs, records, None)
+    values, ok, _ = _vieta_first(field, coeffs, records)
     return values, ok
 
 
-def _vieta_first(field, coeffs, records, numeric):
+def _vieta_first(field, coeffs, records):
     """(values, ok, factorization_exact): the residuals, proved by Vieta
     where possible.
 
     When the field is exact and every one of the degree-many records is
-    exact, the roots are expanded and compared with the monic input;
+    exact, the roots are expanded and the expansion's rational values below
+    its leading 1 are compared with q_i/q_0, read from ``coeffs`` as given
+    (a coefficient that is not a rational number raises ``TypeError``);
     ``factorization_exact`` says whether they agree, and is None otherwise.
-    When every coefficient is rational, the comparison is in Q: the
-    expansion's rational values against q_i/q_0.  Else it subtracts the
-    monic input in the field.  The normal form is unique, so a coefficient
-    of the expansion that is not rational differs from a rational one, and
-    both comparisons give the same verdict.  If they agree,
+    The normal form is unique, so a coefficient of the expansion that is
+    not rational has no rational value and differs.  If they agree,
     p(r_i) = a*prod(r_i - r_j) = 0 is a ring identity (on a reducible tower
     too, as a ring homomorphism preserves it), so every residual is exactly
     0 and no root is substituted.  Else the residuals come from Horner,
@@ -225,39 +229,33 @@ def _vieta_first(field, coeffs, records, numeric):
         and all(rec.exact is not None for rec in records)
     ):
         expanded = expand_monic_from_roots(field, [rec.exact for rec in records])
-        rational = [field.as_rational(c) for c in coeffs]
-        if None in rational:
-            ainv = field.inverse(coeffs[0])
-            monic = [field.mul(c, ainv) for c in coeffs]
-            factorization_exact = all(
-                field.is_zero(field.sub(x, y)) for x, y in zip(expanded, monic)
-            )
-        else:
-            lead = rational[0]
-            factorization_exact = all(
-                field.as_rational(x) == q / lead for x, q in zip(expanded, rational)
-            )
+        lead = Fraction(coeffs[0])
+        factorization_exact = all(
+            field.as_rational(x) == q / lead for x, q in zip(expanded[1:], coeffs[1:])
+        )
         if factorization_exact:
             return [0.0] * len(records), True, True
-    values, ok = _residuals(field, coeffs, records, numeric)
+    values, ok = _residuals(field, coeffs, records)
     return values, ok, factorization_exact
 
 
-def _residuals(field, coeffs, records, numeric):
-    """Horner residuals, with the complex embedding of ``coeffs`` given, or
-    None to embed them on first need."""
+def _residuals(field, coeffs, records):
+    """Horner residuals: an exact record is substituted in the field, whose
+    elements of ``coeffs`` are made on first need, and an inexact one in
+    complex doubles."""
     values = []
     ok = True
-    tol = None
+    elements = tol = None
     for rec in records:
         if rec.exact is not None:
-            value = horner_eval(field, coeffs, rec.exact)
+            if elements is None:
+                elements = [field.from_rational(c) for c in coeffs]
+            value = horner_eval(field, elements, rec.exact)
             within = field.is_zero(value)
             residual = 0.0 if within else abs(field.to_complex(value))
         else:
             if tol is None:
-                if numeric is None:
-                    numeric = [field.to_complex(c) for c in coeffs]
+                numeric = [complex(c) for c in coeffs]
                 tol = FLOAT_RESIDUAL_TOL * _scale(numeric)
             residual = abs(_chorner(numeric, rec.approx))
             within = residual <= tol
@@ -289,20 +287,22 @@ class VerificationReport:
 def verify_solution(field, coeffs, records):
     """Check solver output against the input polynomial.
 
-    ``coeffs`` are leading-first backend elements (degree 1 to 4) and
-    ``records`` the degree-many root records.  The factorization identity
-    recovers the monic coefficient list from the roots, and the oracle
-    check matches root multisets against Durand-Kerner within
-    ``ORACLE_MATCH_TOL``.  Oracle non-convergence is flagged in the notes,
-    not failed.
+    ``coeffs`` are the leading-first coefficients (degree 1 to 4) as
+    numbers, as ``residuals`` takes them, and ``records`` the degree-many
+    root records.  The factorization identity recovers the monic
+    coefficient list from the roots, and the oracle check matches root
+    multisets against Durand-Kerner, run on the coefficients' doubles,
+    within ``ORACLE_MATCH_TOL``.  Oracle non-convergence is flagged in the
+    notes, not failed.
 
     The residuals and the exact factorization come from one route, the
     one ``residuals`` (and so the CLI without ``--verify``) takes: on the
     exact backend, with every record exact, the roots expanding to the
-    monic input prove every residual exactly 0 and no root is substituted;
-    otherwise Horner gives them, exactly where records carry exact values
-    and numerically elsewhere (|p(root)| <= 1e-6 * scale).  Inexact records
-    have their factorization checked on the complex embedding instead.
+    monic input in Q prove every residual exactly 0 and no root is
+    substituted; otherwise Horner gives them, exactly where records carry
+    exact values and numerically elsewhere (|p(root)| <= 1e-6 * scale).
+    Inexact records have their factorization checked on the complex
+    embedding instead.
     """
     degree = len(coeffs) - 1
     if degree < 1 or degree > 4:
@@ -310,9 +310,9 @@ def verify_solution(field, coeffs, records):
     if len(records) != degree:
         raise ValueError("record count must equal the degree")
     notes = []
-    numeric = [field.to_complex(c) for c in coeffs]
+    numeric = [complex(c) for c in coeffs]
 
-    values, residuals_ok, factorization_exact = _vieta_first(field, coeffs, records, numeric)
+    values, residuals_ok, factorization_exact = _vieta_first(field, coeffs, records)
     if factorization_exact is None:
         scale = _scale(numeric)
         lead = numeric[0]

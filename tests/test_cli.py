@@ -297,6 +297,25 @@ def test_verify_out_of_float_range_coefficient_is_a_backend_failure(capsys):
     assert captured.err == "solver failed: integer division result too large for a float\n"
 
 
+_BEYOND_DOUBLE = "1" + "0" * 400 + ".5"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"x^2 + {_BEYOND_DOUBLE}", "integer division result too large for a float"),
+        (f"{_BEYOND_DOUBLE}*x^2 + 1", "a nonzero radicand or divisor underflows a double"),
+    ],
+)
+def test_decimal_beyond_double_range_is_a_backend_failure(capsys, text, message):
+    # the parser reads the decimal exactly; the complex backend cannot hold
+    # it, or the radicand it leads to, as a double
+    assert run(["solve", "--verify", "--", text]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"solver failed: {message}\n"
+
+
 _LONG_ONES = "1" * 5000
 _SEVENS, _THREES = "7" * 3000, "3" * 2999 + "1"
 #: (polynomial, its root): a coefficient beyond Python's 4,300-digit limit on

@@ -448,7 +448,7 @@ def test_generic_exact_quartic_never_takes_omega(monkeypatch):
 
     monkeypatch.setattr(TowerField, "omega", no_omega)
     f = TowerField()
-    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
+    coeffs = [1, 0, 2, 1, 2]
     records = solve_quartic(f, *coeffs)
     assert verify_solution(f, coeffs, records).factorization_exact is True
     assert f.tower.depth == 5
@@ -829,14 +829,13 @@ def test_exact_solves_never_invert_a_zero_divisor():
     strict_solved = 0
     for coeffs, strict in itertools.product(polys, (False, True)):
         f = TowerField()
-        elems = [f.from_rational(q) for q in coeffs]
         solve = solve_cubic if len(coeffs) == 4 else solve_quartic
         try:
-            records = solve(f, *elems, strict=strict)
+            records = solve(f, *coeffs, strict=strict)
         except StrictHypothesisViolation:
             assert strict, coeffs
             continue
-        report = verify_solution(f, elems, records)
+        report = verify_solution(f, coeffs, records)
         assert report.residuals_ok and report.factorization_ok, (coeffs, strict)
         strict_solved += strict
     assert strict_solved >= len(polys) // 2

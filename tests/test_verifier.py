@@ -27,9 +27,11 @@ from radica import (
     solve_quartic,
     verify_solution,
 )
+from radica.cli import _dense_coeffs, parse_polynomial
 from radica.complexfield import approx_eq
 from radica.verifier import MatchResult, _chorner
 from radica.selftest import rand_fraction
+from test_output_corpus import _load_corpus
 
 
 def test_horner_examples():
@@ -457,9 +459,8 @@ def test_match_root_multisets_is_identical_to_the_reference():
 
 def test_verify_cardano_example_passes_exactly():
     f = TowerField()
-    c, d = f.from_rational(-6), f.from_rational(-9)
-    records = solve_cubic(f, f.one, f.zero, c, d)
-    report = verify_solution(f, [f.one, f.zero, c, d], records)
+    records = solve_cubic(f, 1, 0, -6, -9)
+    report = verify_solution(f, [1, 0, -6, -9], records)
     assert report.passed
     assert report.residuals == [0.0, 0.0, 0.0]
     assert report.factorization_exact is True
@@ -468,7 +469,7 @@ def test_verify_cardano_example_passes_exactly():
 
 def test_verify_x_squared_plus_one():
     f = ComplexField()
-    records = solve_quadratic(f, f.one, 0j, 1 + 0j)
+    records = solve_quadratic(f, 1, 0, 1)
     report = verify_solution(f, [1 + 0j, 0j, 1 + 0j], records)
     assert report.passed
     assert {round(r.approx.imag, 9) for r in records} == {1.0, -1.0}
@@ -476,18 +477,17 @@ def test_verify_x_squared_plus_one():
 
 def test_verify_detects_tampered_root():
     f = TowerField()
-    c, d = f.from_rational(-6), f.from_rational(-9)
-    records = solve_cubic(f, f.one, f.zero, c, d)
+    records = solve_cubic(f, 1, 0, -6, -9)
     tampered = [RootRecord(records[0].label, None, 3.1 + 0j, records[0].radical)]
     tampered += list(records[1:])
-    report = verify_solution(f, [f.one, f.zero, c, d], tampered)
+    report = verify_solution(f, [1, 0, -6, -9], tampered)
     assert not report.passed
     assert abs(report.residuals[0] - 2.191) < 1e-9
 
 
 def test_verify_quartic_exact():
     f = TowerField()
-    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
+    coeffs = [1, 0, 2, 1, 2]
     records = solve_quartic(f, *coeffs)
     report = verify_solution(f, coeffs, records)
     assert report.passed
@@ -498,7 +498,7 @@ def test_verify_exact_wrong_root_falls_back_to_horner(monkeypatch):
     import radica.verifier as verifier
 
     f = TowerField()
-    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
+    coeffs = [1, 0, 2, 1, 2]
     records = solve_quartic(f, *coeffs)
     wrong = f.add(records[2].exact, f.from_rational(Fraction(1, 10)))
     records[2] = RootRecord(records[2].label, wrong, records[2].approx, records[2].radical)
@@ -514,17 +514,6 @@ def test_verify_exact_wrong_root_falls_back_to_horner(monkeypatch):
     assert len(seen) == 4
 
 
-def _rational_quadratic(f):
-    """2x^2 - 3x - 5 = (2x - 5)(x + 1)."""
-    return [f.from_rational(q) for q in (2, -3, -5)]
-
-
-def _sqrt2_quadratic(f):
-    """x^2 - 2*sqrt(2)*x + 1, whose roots are sqrt(2) + 1 and sqrt(2) - 1."""
-    g = f.sqrt(f.from_rational(2))
-    return [f.one, f.mul(f.from_rational(-2), g), f.one]
-
-
 def _inverses_in_verify(monkeypatch, f, coeffs, records):
     """The report of ``verify_solution`` and the tower inverses it took."""
     seen = []
@@ -535,29 +524,20 @@ def _inverses_in_verify(monkeypatch, f, coeffs, records):
     return report, len(seen)
 
 
-@pytest.mark.parametrize(
-    "coefficients, inverses", [(_rational_quadratic, 0), (_sqrt2_quadratic, 1)]
-)
-def test_verify_compares_rational_input_in_q_and_other_input_in_the_tower(
-    monkeypatch, coefficients, inverses
-):
+def test_verify_compares_rational_input_in_q(monkeypatch):
+    coeffs = [2, -3, -5]  # (2x - 5)(x + 1)
     f = TowerField()
-    coeffs = coefficients(f)
     records = solve_quadratic(f, *coeffs)
     report, taken = _inverses_in_verify(monkeypatch, f, coeffs, records)
     assert report.factorization_exact is True
     assert report.residuals == [0.0, 0.0]
     assert report.passed
-    # the tower route divides by the leading coefficient; the Q route does not
-    assert taken == inverses
+    assert taken == 0
 
 
-@pytest.mark.parametrize(
-    "coefficients, inverses", [(_rational_quadratic, 0), (_sqrt2_quadratic, 1)]
-)
-def test_verify_root_shifted_by_a_tenth_fails_on_both_routes(monkeypatch, coefficients, inverses):
+def test_verify_root_shifted_by_a_tenth_fails(monkeypatch):
+    coeffs = [2, -3, -5]
     f = TowerField()
-    coeffs = coefficients(f)
     records = solve_quadratic(f, *coeffs)
     wrong = f.add(records[0].exact, f.from_rational(Fraction(1, 10)))
     records[0] = RootRecord(records[0].label, wrong, records[0].approx, records[0].radical)
@@ -565,14 +545,47 @@ def test_verify_root_shifted_by_a_tenth_fails_on_both_routes(monkeypatch, coeffi
     assert report.factorization_exact is False
     assert report.residuals[0] > 0.0 and report.residuals[1] == 0.0
     assert not report.residuals_ok and not report.passed
-    assert taken == inverses
+    assert taken == 0
+
+
+@pytest.mark.parametrize("workload", ["exact-cubic", "exact-quartic-verify"])
+def test_exact_verifier_reads_the_coefficients_as_given(monkeypatch, workload):
+    calls = []
+    for case in _load_corpus().make_corpus(workload, 1)[:20]:
+        coeffs = _dense_coeffs(parse_polynomial(case.argv[-1]))  # as the CLI parses it
+        f = TowerField()
+        records = (solve_cubic if len(coeffs) == 4 else solve_quartic)(f, *coeffs)
+        with monkeypatch.context() as m:
+            for name in ("from_rational", "as_rational", "to_complex", "inverse"):
+                real = getattr(TowerField, name)
+                m.setattr(
+                    TowerField, name,
+                    lambda self, x, name=name, real=real: calls.append(name) or real(self, x),
+                )
+            report = verify_solution(f, coeffs, records)
+            values, ok = residuals(f, coeffs, records)
+        assert report.factorization_exact is True and report.passed
+        assert values == report.residuals == [0.0] * len(records) and ok
+        # the expansion's coefficients below the leading 1, once per call
+        assert calls == ["as_rational"] * 2 * len(records)
+        calls.clear()
+
+
+def test_a_tower_element_coefficient_is_a_type_error():
+    f = TowerField()
+    records = solve_cubic(f, 1, 0, -6, -9)
+    coeffs = [f.from_rational(q) for q in (1, 0, -6, -9)]
+    with pytest.raises(TypeError):
+        verify_solution(f, coeffs, records)
+    with pytest.raises(TypeError):
+        residuals(f, coeffs, records)
 
 
 def test_residuals_exact_wrong_root_falls_back_to_horner(monkeypatch):
     import radica.verifier as verifier
 
     f = TowerField()
-    coeffs = [f.from_rational(q) for q in (1, 0, 2, 1, 2)]
+    coeffs = [1, 0, 2, 1, 2]
     records = solve_quartic(f, *coeffs)
     wrong = f.add(records[2].exact, f.from_rational(Fraction(1, 10)))
     records[2] = RootRecord(records[2].label, wrong, records[2].approx, records[2].radical)
@@ -594,12 +607,58 @@ def test_verify_flags_oracle_non_convergence(monkeypatch):
 
     monkeypatch.setattr(verifier, "durand_kerner", explode)
     f = TowerField()
-    c, d = f.from_rational(-6), f.from_rational(-9)
-    records = solve_cubic(f, f.one, f.zero, c, d)
-    report = verifier.verify_solution(f, [f.one, f.zero, c, d], records)
+    records = solve_cubic(f, 1, 0, -6, -9)
+    report = verifier.verify_solution(f, [1, 0, -6, -9], records)
     assert report.oracle_match is None
     assert report.passed
     assert any("converge" in note for note in report.notes)
+
+
+def _beyond_double_range():
+    """ints and Fractions, most of them far beyond or below double range."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.one_of(
+        st.integers(-(10**400), 10**400),
+        st.builds(lambda k, s: s * 2**k, st.integers(0, 1300), st.sampled_from([1, -1])),
+    )
+    fractions = st.builds(
+        lambda m, k: Fraction(m) * Fraction(10) ** k, st.integers(-(10**20), 10**20),
+        st.integers(-800, 800),
+    )
+    return st.one_of(ints, fractions, st.builds(Fraction, ints, st.integers(1, 10**400)))
+
+
+def _float_parts(convert, q):
+    """The ``.hex()`` of both parts of ``convert(q)``, or its OverflowError."""
+    try:
+        z = convert(q)
+    except OverflowError as exc:
+        return OverflowError, str(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+def test_complex_of_a_rational_is_the_backends_embedding():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(_beyond_double_range())
+    @hypothesis.example(Fraction(10**400))
+    @hypothesis.example(Fraction(-1, 10**400))
+    @hypothesis.example(10**309)
+    @hypothesis.example(Fraction(2**1024 - 2**970))  # just past the largest double
+    def check(q):
+        want = _float_parts(complex, q)
+        assert _float_parts(ComplexField().from_rational, q) == want
+        tower = _float_parts(lambda q: TowerField().from_rational(q).to_complex(), q)
+        if q.__class__ is int and want[0] is OverflowError:
+            # the tower divides the numerator by its denominator, 1, so its
+            # message is the division's
+            assert tower == (OverflowError, "integer division result too large for a float")
+        else:
+            assert tower == want
+
+    check()
 
 
 # -- negative exhibit -------------------------------------------------------------
