@@ -281,8 +281,7 @@ def check_differential_oracle(rng, n):
             excluded_separation += 1
             continue
         solved += 1
-        result = match_root_multisets([r.approx for r in records], oracle, 1e-6)
-        if not result.matched:
+        if not match_root_multisets([r.approx for r in records], oracle, 1e-6):
             ok = False
     return ok, (
         f"matched={solved}, excluded(separation)={excluded_separation}, "

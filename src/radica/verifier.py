@@ -1,8 +1,9 @@
 """Independent checking machinery for solver output.
 
 Residuals by Horner substitution, coefficient recovery from roots,
-a Durand-Kerner simultaneous-iteration oracle, multiset matching of
-root sets, and assembly of a per-solve verification report.  Exact
+a Durand-Kerner simultaneous-iteration oracle, the oracle check (the
+solver's roots pair off one-to-one with the oracle's within 1e-6 relative,
+``approx_eq``), and assembly of a per-solve verification report.  Exact
 residuals, in the report and from ``residuals`` alike (so with or without
 ``--verify`` on the CLI), come from the factorization identity first: when
 the roots expand to the monic input, each root is exact, and Horner runs
@@ -126,63 +127,33 @@ def durand_kerner(coeffs, tol=1e-12, max_iter=200):
     raise NoConvergence(roots, max_iter)
 
 
-class MatchResult:
-    def __init__(self, matched, permutation, max_distance):
-        self.matched = matched
-        self.permutation = permutation
-        self.max_distance = max_distance
-
-
-def _walk(dist, perm, rel, best):
-    """Extend ``perm``, whose largest distance is ``rel``, in
-    ``itertools.permutations`` order, and keep in ``best`` each full
-    permutation whose largest distance is below the best one's.  A
+def _pairs_off(close, used):
+    """Whether root ``len(used)`` and every later one pair off with distinct
+    indices not in ``used``, root i with one of ``close[i]``.  A
     module-level function, so that no closure cycle outlives a match."""
-    i, n = len(perm), len(dist)
-    for j in range(n):
-        if j in perm:
-            continue
-        d = dist[i][j]
-        if i and not d > rel:  # as max keeps a first NaN and skips a later one
-            d = rel
-        if d < best[0]:  # else cut: no permutation below here is better
-            if i + 1 < n:
-                _walk(dist, perm + (j,), d, best)
-            else:
-                best[:] = d, perm + (j,)
+    i = len(used)
+    if i == len(close):
+        return True
+    for j in close[i]:
+        if j not in used and _pairs_off(close, used + (j,)):
+            return True
+    return False
 
 
 def match_root_multisets(a, b, tol):
-    """Best permutation matching of two equal-length root lists (length <= 4).
+    """Whether two equal-length root lists (length <= 4) pair off one-to-one
+    so that every pair passes the scale-relative ``approx_eq`` at ``tol``.
 
-    Exhaustive search over all permutations for the least largest relative
-    pair distance; the n*n relative distances are computed once.  The
-    permutations are walked in ``itertools.permutations`` order, each
-    prefix carrying its largest distance as ``max`` takes it, and a prefix
-    is cut once that distance is not below the best found, which only a
-    strictly smaller one replaces.  Pairs compare via the scale-relative
-    ``approx_eq`` at ``tol``.  The reported distance is the
-    largest absolute pair distance under the best permutation, the first
-    one found on a tie.
+    Each root of ``a`` lists its close roots of ``b`` once; a pairing is
+    then searched depth-first.  A pair whose difference is NaN fails
+    ``approx_eq``, so a NaN root never matches a finite one.
     """
     if len(a) != len(b):
         raise ValueError("root lists must have equal length")
     if len(a) > 4:
         raise ValueError("at most four roots supported")
-    if not a:
-        return MatchResult(True, (), 0.0)
-    # max(1.0, |x|, |y|), as max folds from the left, NaN passed over
-    sizes = [max(1.0, abs(y)) for y in b]
-    dist = []
-    for x in a:
-        size = max(1.0, abs(x))
-        dist.append([abs(x - y) / (s if s > size else size) for y, s in zip(b, sizes)])
-    best = [math.inf, None]
-    _walk(dist, (), None, best)
-    best_perm = best[1]
-    max_dist = max(abs(x - b[p]) for x, p in zip(a, best_perm))
-    matched = all(approx_eq(x, b[p], tol) for x, p in zip(a, best_perm))
-    return MatchResult(matched, best_perm, max_dist)
+    close = [[j for j, y in enumerate(b) if approx_eq(x, y, tol)] for x in a]
+    return _pairs_off(close, ())
 
 
 def _scale(numeric):
@@ -290,10 +261,10 @@ def verify_solution(field, coeffs, records):
     ``coeffs`` are the leading-first coefficients (degree 1 to 4) as
     numbers, as ``residuals`` takes them, and ``records`` the degree-many
     root records.  The factorization identity recovers the monic
-    coefficient list from the roots, and the oracle check matches root
-    multisets against Durand-Kerner, run on the coefficients' doubles,
-    within ``ORACLE_MATCH_TOL``.  Oracle non-convergence is flagged in the
-    notes, not failed.
+    coefficient list from the roots, and the oracle check pairs the roots'
+    approximations off with Durand-Kerner's, run on the coefficients'
+    doubles, each pair within ``ORACLE_MATCH_TOL`` relative (``approx_eq``).
+    Oracle non-convergence is flagged in the notes, not failed.
 
     The residuals and the exact factorization come from one route, the
     one ``residuals`` (and so the CLI without ``--verify``) takes: on the
@@ -312,7 +283,9 @@ def verify_solution(field, coeffs, records):
     notes = []
     numeric = [complex(c) for c in coeffs]
 
-    values, residuals_ok, factorization_exact = _vieta_first(field, coeffs, records)
+    values, residuals_ok, factorization_exact = _vieta_first(
+        field, coeffs if field.is_exact else numeric, records
+    )
     if factorization_exact is None:
         scale = _scale(numeric)
         lead = numeric[0]
@@ -332,7 +305,7 @@ def verify_solution(field, coeffs, records):
     else:
         oracle_match = match_root_multisets(
             [rec.approx for rec in records], oracle_roots, ORACLE_MATCH_TOL
-        ).matched
+        )
 
     return VerificationReport(
         residuals=values,
@@ -358,17 +331,14 @@ def real_preferring_cbrt(z):
     return ccbrt_principal(z)
 
 
-def omega_twisting_cbrt(selector=None):
+def omega_twisting_cbrt():
     """A valid-but-adversarial provider: omega * real_preferring_cbrt(z) on
-    inputs chosen by ``selector`` (all inputs when None).  The result still
-    cubes back to z, so it satisfies the cube-root contract."""
+    every input.  The result still cubes back to z, so it satisfies the
+    cube-root contract."""
     w = complex(-0.5, math.sqrt(3.0) / 2.0)
 
     def cbrt(z):
-        root = real_preferring_cbrt(z)
-        if selector is None or selector(z):
-            root *= w
-        return root
+        return real_preferring_cbrt(z) * w
 
     return cbrt
 

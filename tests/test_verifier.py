@@ -29,7 +29,7 @@ from radica import (
 )
 from radica.cli import _dense_coeffs, parse_polynomial
 from radica.complexfield import approx_eq
-from radica.verifier import MatchResult, _chorner
+from radica.verifier import _chorner
 from radica.selftest import rand_fraction
 from test_output_corpus import _load_corpus
 
@@ -222,89 +222,76 @@ def test_durand_kerner_residuals_on_random_separated_polynomials(rng):
 
 
 def test_match_permutation():
-    result = match_root_multisets([1, 2], [2, 1], 1e-9)
-    assert result.matched
-    assert result.max_distance < 1e-15
+    assert match_root_multisets([1, 2], [2, 1], 1e-9) is True
 
 
 def test_match_failure_reports_distance():
-    result = match_root_multisets([1, 2], [1, 3], 1e-9)
-    assert not result.matched
-    assert abs(result.max_distance - 1) < 1e-12
+    assert match_root_multisets([1, 2], [1, 3], 1e-9) is False
 
 
 def test_match_clustered_roots_within_relative_tolerance():
-    result = match_root_multisets([0, 0], [1e-13, -1e-13], 1e-9)
-    assert result.matched
+    assert match_root_multisets([0, 0], [1e-13, -1e-13], 1e-9) is True
 
 
-def _reference_match(a, b, tol):
-    """The matcher that computes each pair's distance inside every
-    permutation, as the reference for the one that computes them once."""
-    best_perm = None
-    best_rel = math.inf
-    for perm in itertools.permutations(range(len(b))):
-        rel = max(abs(x - b[p]) / max(1.0, abs(x), abs(b[p])) for x, p in zip(a, perm))
-        if rel < best_rel:
-            best_rel = rel
-            best_perm = perm
-    max_dist = max(abs(x - b[p]) for x, p in zip(a, best_perm))
-    matched = all(approx_eq(x, b[p], tol) for x, p in zip(a, best_perm))
-    return best_perm, max_dist, matched
+def test_match_rejects_unequal_lengths_and_more_than_four_roots():
+    with pytest.raises(ValueError):
+        match_root_multisets([1, 2], [1], 1e-9)
+    with pytest.raises(ValueError):
+        match_root_multisets([1] * 5, [1] * 5, 1e-9)
+
+
+def _reference_verdict(a, b, tol):
+    """The verdict of the matcher that ranked every permutation by its
+    largest relative pair distance and checked the first best one with
+    ``approx_eq``: the reference for finite roots."""
+    if not a:
+        return True
+
+    def largest_distance(perm):
+        return max(abs(x - b[p]) / max(1.0, abs(x), abs(b[p])) for x, p in zip(a, perm))
+
+    best = min(itertools.permutations(range(len(b))), key=largest_distance)
+    return all(approx_eq(x, b[p], tol) for x, p in zip(a, best))
 
 
 def test_match_agrees_with_per_permutation_reference():
-    rng = random.Random(20261018)
-    # repeated values make exact ties between permutations
-    pool = [0j, 1 + 0j, -1 + 0j, 1j, 2 - 1j, 1e-13 + 0j, -1e-13 + 0j]
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # values drawn from a small pool repeat, which makes ties between
+    # permutations; a shifted copy of the roots mismatches where its shift
+    # exceeds the tolerance
+    finite = _complex_numbers(st) | st.sampled_from([0j, 1 + 0j, 1j, 1e-13 + 0j, 1.0000001 + 0j])
+    shifts = st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 1.0])
 
-    def draw():
-        if rng.random() < 0.5:
-            return rng.choice(pool)
-        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    @st.composite
+    def root_lists(draw):
+        n = draw(st.integers(0, 4))
+        a = draw(st.lists(finite, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            return a, draw(st.lists(finite, min_size=n, max_size=n))
+        return a, draw(st.permutations([x + draw(shifts) for x in a]))
 
-    ties = 0
-    for _ in range(3000):
-        n = rng.randint(1, 4)
-        a = [draw() for _ in range(n)]
-        if rng.random() < 0.5:
-            b = [draw() for _ in range(n)]
-        else:
-            b = [x + complex(rng.choice((0.0, 1e-12, 1e-3)), 0.0) for x in a]
-            rng.shuffle(b)
-        tol = rng.choice((1e-9, 1e-6, 0.5))
-        got = match_root_multisets(a, b, tol)
-        assert (got.permutation, got.max_distance, got.matched) == _reference_match(a, b, tol)
-        ties += len(set(a)) < n or len(set(b)) < n
-    assert ties > 300
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(root_lists(), st.sampled_from([1e-9, 1e-6, 0.5]))
+    def check(lists, tol):
+        assert match_root_multisets(*lists, tol) is _reference_verdict(*lists, tol)
 
-
-def test_match_leaves_no_cyclic_garbage():
-    gc.collect()
-    gc.disable()
-    try:
-        match_root_multisets([1, 2j, 3 + 0j, -1], [3, -1 + 1e-13j, 2j, 1], 1e-9)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    check()
 
 
-def _match_outcome(match, a, b, tol):
-    """(permutation, repr of the distance, verdict), or the error's class."""
-    try:
-        result = match(a, b, tol)
-    except Exception as exc:  # every permutation NaN: no best one to read
-        return type(exc)
-    if isinstance(result, MatchResult):
-        result = (result.permutation, result.max_distance, result.matched)
-    permutation, max_distance, matched = result
-    return permutation, repr(max_distance), matched
+def _reference_pairing(a, b, tol):
+    """Whether some permutation pairs every root within ``approx_eq``: the
+    matcher's definition, tried on every permutation without pruning."""
+    return any(
+        all(approx_eq(x, b[p], tol) for x, p in zip(a, perm))
+        for perm in itertools.permutations(range(len(b)))
+    )
 
 
 def test_pruned_match_agrees_with_reference_on_nan_inf_and_coincident_roots():
     rng = random.Random(20261019)
     nan, inf = math.nan, math.inf
-    # non-finite parts make NaN and inf distances, at any place in a
+    # non-finite parts make NaN and inf differences, at any place in a
     # permutation; repeated values make ties
     pool = [
         0j, 1 + 0j, 1 + 0j, -1 + 0j, 1j, 1e-13 + 0j,
@@ -320,17 +307,30 @@ def test_pruned_match_agrees_with_reference_on_nan_inf_and_coincident_roots():
             b = list(a)
             rng.shuffle(b)
         tol = rng.choice((1e-9, 0.5))
-        want = _match_outcome(_reference_match, a, b, tol)
-        assert _match_outcome(match_root_multisets, a, b, tol) == want, (a, b)
-        if isinstance(want, type):
-            kinds.add(want)
-            continue
-        kinds.add("inf" if want[1] == "inf" else "finite")
-        rel = [abs(x - b[p]) / max(1.0, abs(x), abs(b[p])) for x, p in zip(a, want[0])]
-        if any(map(math.isnan, rel)):
-            kinds.add("a later NaN passed over")
-    assert kinds == {TypeError, "inf", "finite", "a later NaN passed over"}
+        got = match_root_multisets(a, b, tol)
+        assert got is _reference_pairing(a, b, tol), (a, b)
+        kinds.add(got)
+        # a NaN difference passes no comparison
+        if all(
+            any(math.isnan(abs(x - b[p])) for x, p in zip(a, perm))
+            for perm in itertools.permutations(range(len(b)))
+        ):
+            assert got is False
+            kinds.add("every pairing NaN")
+        if any(math.isinf(abs(x - y)) for x in a for y in b):
+            kinds.add("inf")
+    assert kinds == {True, False, "every pairing NaN", "inf"}
+    assert match_root_multisets([complex(nan, 0.0), 2], [1, 2], 1e-6) is False
 
+
+def test_match_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        match_root_multisets([1, 2j, 3 + 0j, -1], [3, -1 + 1e-13j, 2j, 1], 1e-9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- bit identity with the loops as they were before tightening -------------------
@@ -362,26 +362,6 @@ def _reference_durand_kerner(coeffs, tol=1e-12, max_iter=200):
         if worst <= tol:
             return roots
     raise NoConvergence(roots, max_iter)
-
-
-def _reference_match_root_multisets(a, b, tol):
-    if len(a) != len(b):
-        raise ValueError("root lists must have equal length")
-    if len(a) > 4:
-        raise ValueError("at most four roots supported")
-    if not a:
-        return MatchResult(True, (), 0.0)
-    dist = [[abs(x - y) / max(1.0, abs(x), abs(y)) for y in b] for x in a]
-    best_perm = None
-    best_rel = math.inf
-    for perm in itertools.permutations(range(len(b))):
-        rel = max(row[p] for row, p in zip(dist, perm))
-        if rel < best_rel:
-            best_rel = rel
-            best_perm = perm
-    max_dist = max(abs(x - b[p]) for x, p in zip(a, best_perm))
-    matched = all(approx_eq(x, b[p], tol) for x, p in zip(a, best_perm))
-    return MatchResult(matched, best_perm, max_dist)
 
 
 def _bits(roots):
@@ -434,26 +414,6 @@ def test_durand_kerner_is_bit_identical_to_the_reference():
     assert _oracle_outcome(durand_kerner, [8.28e-163j, 0j, 1j], 200)[0] == "no convergence"
 
 
-def test_match_root_multisets_is_identical_to_the_reference():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    # values drawn from a small pool repeat, which makes ties between permutations
-    numbers = _complex_numbers(st) | st.sampled_from([0j, 1 + 0j, 1j, 1e-13 + 0j, 1.0000001 + 0j])
-    root_lists = st.integers(0, 4).flatmap(
-        lambda n: st.tuples(*[st.lists(numbers, min_size=n, max_size=n)] * 2)
-    )
-
-    @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(root_lists, st.sampled_from([1e-9, 1e-6, 0.5]))
-    def check(lists, tol):
-        got = match_root_multisets(*lists, tol)
-        want = _reference_match_root_multisets(*lists, tol)
-        assert got.matched is want.matched and got.permutation == want.permutation
-        assert got.max_distance.hex() == want.max_distance.hex()
-
-    check()
-
-
 # -- verify_solution ---------------------------------------------------------------
 
 
@@ -473,6 +433,15 @@ def test_verify_x_squared_plus_one():
     report = verify_solution(f, [1 + 0j, 0j, 1 + 0j], records)
     assert report.passed
     assert {round(r.approx.imag, 9) for r in records} == {1.0, -1.0}
+
+
+def test_verify_reports_a_nan_root_as_failed():
+    f = ComplexField()
+    records = solve_quadratic(f, 1, -3, 2)
+    records[0] = RootRecord(records[0].label, None, complex(math.nan, 0.0), records[0].radical)
+    report = verify_solution(f, [1, -3, 2], records)
+    assert report.passed is False
+    assert report.oracle_match is False and report.residuals_ok is False
 
 
 def test_verify_detects_tampered_root():
@@ -673,7 +642,11 @@ def test_exhibit_benign_case_with_real_preferring_branch():
 
 
 def test_exhibit_omega_twisted_t_breaks_naive_formula():
-    twisted = omega_twisting_cbrt(lambda z: z.real < 0)  # hits only the t radicand
+    adversarial = omega_twisting_cbrt()
+
+    def twisted(z):  # hits only the t radicand
+        return adversarial(z) if z.real < 0 else real_preferring_cbrt(z)
+
     exhibit = negative_exhibit_two_cbrts(-6, -9, cbrt_func=twisted)
     assert abs(exhibit.residual_naive - 18.0) < 1e-9
     assert exhibit.residual_corrected <= 1e-12
