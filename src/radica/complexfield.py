@@ -45,10 +45,12 @@ def ccbrt_principal(z):
 
 
 def approx_eq(x, y, tol):
-    """Scale-relative comparison: |x - y| <= tol * max(1, |x|, |y|)."""
+    """Scale-relative comparison: |x - y| <= tol * max(1, |x|, |y|), and a
+    NaN or infinite difference is never close."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+    diff = abs(x - y)
+    return math.isfinite(diff) and diff <= tol * max(1.0, abs(x), abs(y))
 
 
 class ComplexField(FieldCapabilities):

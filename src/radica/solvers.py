@@ -5,8 +5,9 @@ only a single cube root s is ever taken, and the companion value is
 computed as t = c/(3s).  Taking two independent cube roots is unsound for
 an arbitrary root provider because nothing forces 3st = c (the verifier
 module carries a demonstration).  As in the paper, the three roots come
-from that one s: the radicands and s are computed once per cubic, and each
-branch only multiplies s by a power of omega and forms s - c/(3s).  The
+from that one s: the radicands and s are computed once per cubic, the
+three branches walk its omega-orbit s, omega*s, omega*(omega*s) with two
+products by omega, and each forms s - c/(3s) from its own value.  The
 quartic is split into two quadratics whose parameters come from a root of
 the resolvent cubic.
 
@@ -259,8 +260,9 @@ def _quadratic_monic(f, b, c):
     disc = f.sub(f.mul(b, b), f.mul(f.from_rational(4), c))
     root = f.sqrt(disc)
     half = f.from_rational(Fraction(1, 2))
-    plus = f.mul(f.add(f.neg(b), root), half)
-    minus = f.mul(f.sub(f.neg(b), root), half)
+    minus_b = f.neg(b)
+    plus = f.mul(f.add(minus_b, root), half)
+    minus = f.mul(f.sub(minus_b, root), half)
     return plus, minus
 
 
@@ -305,13 +307,14 @@ def depress_cubic(f, b, c, d):
     return cp, dp, shift
 
 
-def _omega_times(f, k, x):
-    """omega**k * x, as omega*(omega*x) for k = 2."""
-    if k:
-        w = f.omega()
-        for _ in range(k):
-            x = f.mul(w, x)
-    return x
+def _omega_orbit(f, root):
+    """root, omega*root and omega*(omega*root), lazily: omega is taken when
+    the second value is asked for, and the third multiplies the second."""
+    yield root
+    w = f.omega()
+    second = f.mul(w, root)
+    yield second
+    yield f.mul(w, second)
 
 
 def _cardano_base(f, c, d):
@@ -340,28 +343,20 @@ def _cardano_base(f, c, d):
     return f.cbrt(s_radicand), False
 
 
-def _cardano_branch(f, c, base, branch):
-    """The root of ``branch`` from ``_cardano_base``'s (root, swapped):
-    with t = omega**branch * root, t - c/(3t), or c/(3t) - t when swapped."""
-    root, swapped = base
-    t = _omega_times(f, branch, root)
-    companion = f.div(c, f.mul(f.from_rational(3), t))
-    return f.sub(companion, t) if swapped else f.sub(t, companion)
-
-
 def cardano_root(f, c, d, branch=0):
     """One root of u**3 + c*u + d for c != 0.
 
     ``branch`` selects the cube root used for s: 0 for the provider's own,
     1 and 2 for the omega- and omega**2-multiplied ones.  s is never zero
     (s**3 = 0 would force c = 0), and the returned u = s - c/(3s) satisfies
-    the equation exactly in the exact backend.  This builds the
-    branch-invariant base for one branch; ``_cubic_depressed_roots`` builds
-    it once for all three.
+    the equation exactly in the exact backend.  This is root ``branch`` of
+    ``_cubic_depressed_roots`` in strict mode, which builds the roots before
+    it in the orbit too.
     """
-    if f.is_zero(c):
-        raise ZeroLinearTerm("c = 0: Cardano's formula needs c != 0")
-    return _cardano_branch(f, c, _cardano_base(f, c, d), branch)
+    for k, (_, u) in enumerate(_cubic_depressed_roots(f, c, d, strict=True)):
+        if k == branch:
+            return u
+    raise ValueError("branch must be 0, 1 or 2")
 
 
 def _cubic_depressed_roots(f, c, d, strict=False):
@@ -370,29 +365,29 @@ def _cubic_depressed_roots(f, c, d, strict=False):
     Case split: c = 0 gives the three cube roots of -d; d = 0 gives 0 and
     +-sqrt(-c); otherwise the three Cardano branches, which share one base
     (one square root and one cube root) built before the first is yielded.
-    ``strict`` skips the split and takes Cardano, raising ``ZeroLinearTerm``
-    on c = 0; either way c is tested once.  The roots are yielded lazily, in
-    that order: a caller that stops after the first one never takes omega,
-    so sqrt(-3) is adjoined only when a later root is asked for.
+    Both cube-root cases walk ``_omega_orbit`` of their one cube root, so
+    the three roots take two products by omega.  ``strict`` skips the split
+    and takes Cardano, raising ``ZeroLinearTerm`` on c = 0; either way c is
+    tested once.  The roots are yielded lazily, in that order: a caller
+    that stops after the first one never takes omega, so sqrt(-3) is
+    adjoined only when a later root is asked for.
     """
     if strict and f.is_zero(c):
         raise ZeroLinearTerm("c = 0: Cardano's formula needs c != 0")
     if not strict and f.is_zero(c):
-        base = f.cbrt(f.neg(d))
-        yield "cuberoot-A", base
-        w = f.omega()
-        second = f.mul(w, base)
-        yield "cuberoot-B", second
-        yield "cuberoot-C", f.mul(w, second)
+        for name, u in zip("ABC", _omega_orbit(f, f.cbrt(f.neg(d)))):
+            yield f"cuberoot-{name}", u
     elif not strict and f.is_zero(d):
         root = f.sqrt(f.neg(c))
         yield "zero", f.from_rational(0)
         yield "sqrt-plus", root
         yield "sqrt-minus", f.neg(root)
     else:
-        base = _cardano_base(f, c, d)
-        for branch, name in enumerate("ABC"):
-            yield f"cardano-{name}", _cardano_branch(f, c, base, branch)
+        root, swapped = _cardano_base(f, c, d)
+        three = f.from_rational(3)
+        for name, t in zip("ABC", _omega_orbit(f, root)):
+            companion = f.div(c, f.mul(three, t))
+            yield f"cardano-{name}", f.sub(companion, t) if swapped else f.sub(t, companion)
 
 
 def solve_cubic(field, a, b, c, d, strict=False):

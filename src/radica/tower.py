@@ -77,20 +77,17 @@ def _isqrt_exact(n):
 
 
 def _icbrt(n):
-    """Floor cube root of a nonnegative integer (exact integer iteration)."""
+    """Floor cube root of a nonnegative integer: integer Newton iteration from
+    above never steps below the floor (AM-GM) and decreases until it reaches
+    it (Brent and Zimmermann, Modern Computer Arithmetic, 1.5)."""
     if n == 0:
         return 0
     r = 1 << ((n.bit_length() + 2) // 3)
     while True:
         nxt = (2 * r + n // (r * r)) // 3
         if nxt >= r:
-            break
+            return r
         r = nxt
-    while r * r * r > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
 
 
 def rational_sqrt(q):

@@ -291,9 +291,8 @@ def verify_solution(field, coeffs, records):
         lead = numeric[0]
         monic_num = [z / lead for z in numeric]
         expanded = expand_monic_from_roots(ComplexField(), [rec.approx for rec in records])
-        factorization_ok = (
-            max(abs(x - y) for x, y in zip(expanded, monic_num)) <= FLOAT_RESIDUAL_TOL * scale
-        )
+        tol = FLOAT_RESIDUAL_TOL * scale
+        factorization_ok = all(abs(x - y) <= tol for x, y in zip(expanded, monic_num))
     else:
         factorization_ok = factorization_exact
 

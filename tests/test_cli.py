@@ -153,6 +153,21 @@ def test_solve_parse_error_exit_code(capsys):
     assert "offset 10" in capsys.readouterr().err
 
 
+def test_solve_decimal_with_a_denominator_is_a_parse_error(capsys):
+    assert run(["solve", "1.5/2*x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parse error at offset 3: decimal coefficients take no denominator\n"
+    assert captured.out == ""
+
+
+def test_solve_prints_purely_imaginary_roots(capsys):
+    assert run(["solve", "x^2 + 1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  quadratic-minus: -1i  [residual 0]",
+        "  quadratic-plus: 1i  [residual 0]",
+    ]
+
+
 def test_solve_superscript_exponent_is_a_parse_error(capsys):
     assert run(["solve", "x² + 1"]) == 2
     captured = capsys.readouterr()

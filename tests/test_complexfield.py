@@ -1,5 +1,7 @@
 """Principal-branch root providers over complex doubles."""
 
+import math
+
 import pytest
 
 from radica import approx_eq, ccbrt_principal, csqrt_principal
@@ -61,6 +63,16 @@ def test_approx_eq_examples():
     assert approx_eq(1, 1 + 1e-15, 1e-9)
     assert not approx_eq(1, 2, 1e-9)
     assert approx_eq(1e6, 1e6 + 0.5, 1e-6)
+
+
+def test_approx_eq_fails_on_a_non_finite_difference():
+    nan, inf = math.nan, math.inf
+    assert not approx_eq(inf, 1, 1e-6)
+    assert not approx_eq(1, -inf, 1e-6)
+    assert not approx_eq(complex(nan, 0), complex(0, inf), 1e-6)
+    assert not approx_eq(complex(inf, 0), complex(inf, 0), 1e-6)
+    assert not approx_eq(nan, nan, 0.5)
+    assert approx_eq(1e308, 1e308, 1e-6)
 
 
 def test_approx_eq_requires_positive_tolerance():

@@ -196,18 +196,61 @@ def test_cardano_substitution_zero_random(rng):
             assert f.is_zero(horner_eval(f, coeffs, u))
 
 
-@pytest.mark.parametrize("c, d", [(-6, -9), (-3, -2), (1, 1)])
-def test_shared_cardano_base_matches_one_branch_entry(c, d):
-    """The three branches built from one base are ``cardano_root``'s roots,
-    as normal forms and as rendered trees."""
+def test_cardano_root_rejects_a_branch_beyond_the_three():
     f = TowerField()
-    fc, fd = f.from_rational(c), f.from_rational(d)
-    shared = [u for _, u in _cubic_depressed_roots(f, fc, fd)]
-    assert shared == [cardano_root(f, fc, fd, k) for k in range(3)]
+    with pytest.raises(ValueError):
+        cardano_root(f, f.from_rational(-6), f.from_rational(-9), 3)
+
+
+def _reference_cardano_branch(f, c, d, k):
+    """Root ``k`` of u**3 + c*u + d by the per-branch formula: k fresh
+    products by omega on the base's cube root, then the companion."""
+    t, swapped = solvers._cardano_base(f, c, d)
+    for _ in range(k):
+        t = f.mul(f.omega(), t)
+    companion = f.div(c, f.mul(f.from_rational(3), t))
+    return f.sub(companion, t) if swapped else f.sub(t, companion)
+
+
+@pytest.mark.parametrize("c, d", [(-6, -9), (-3, -2), (1, 1), (-2, 5)])
+def test_shared_cardano_base_matches_one_branch_entry(c, d):
+    """The omega-orbit's three Cardano roots are the per-branch formula's,
+    as normal forms, as doubles and as rendered trees, and ``cardano_root``
+    returns each of them."""
+    for f in (TowerField(), ComplexField()):
+        fc, fd = f.from_rational(c), f.from_rational(d)
+        want = [_reference_cardano_branch(f, fc, fd, k) for k in range(3)]
+        assert [u for _, u in _cubic_depressed_roots(f, fc, fd)] == want
+        assert [cardano_root(f, fc, fd, k) for k in range(3)] == want
     t = _Traced(TowerField())
     tc, td = t.from_rational(c), t.from_rational(d)
-    shared = [render(u.expr) for _, u in _cubic_depressed_roots(t, tc, td)]
-    assert shared == [render(cardano_root(t, tc, td, k).expr) for k in range(3)]
+    want = [render(_reference_cardano_branch(t, tc, td, k).expr) for k in range(3)]
+    assert [render(u.expr) for _, u in _cubic_depressed_roots(t, tc, td)] == want
+
+
+class _OmegaProductCounter(TowerField):
+    """Counts the products that take an operand from ``omega()``."""
+
+    def __init__(self):
+        super().__init__()
+        self.omegas = []
+        self.omega_products = 0
+
+    def omega(self):
+        w = super().omega()
+        self.omegas.append(w)
+        return w
+
+    def mul(self, x, y):
+        self.omega_products += any(w is x or w is y for w in self.omegas)
+        return super().mul(x, y)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, -6, -9), (1, 0, 0, -2)], ids=["cardano", "cuberoot"])
+def test_three_cubic_roots_take_two_products_by_omega(coeffs):
+    f = _OmegaProductCounter()
+    solve_cubic(f, *coeffs)
+    assert f.omega_products == 2
 
 
 def test_exact_cubic_takes_one_cube_root(monkeypatch):

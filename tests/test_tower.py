@@ -21,7 +21,14 @@ from radica import (
 )
 from radica.cli import run
 from radica.selftest import rand_fraction
-from radica.tower import _combine, _g_numerators, _normal, _reducible_factor, _root_scale
+from radica.tower import (
+    _combine,
+    _g_numerators,
+    _icbrt,
+    _normal,
+    _reducible_factor,
+    _root_scale,
+)
 
 
 # -- adjunction ---------------------------------------------------------------
@@ -71,6 +78,23 @@ def test_adjoin_cbrt_negative_perfect_cube_preserves_sign():
     root = t.adjoin("cbrt", t.rational(-27))
     assert t.depth == 0
     assert root.as_rational() == -3
+
+
+def test_icbrt_is_the_floor_cube_root():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cubes = st.integers(1, 10**200).flatmap(lambda k: st.sampled_from([k**3 - 1, k**3, k**3 + 1]))
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 10**600) | cubes)
+    def check(n):
+        r = _icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3
+
+    check()
+    for n in range(3000):
+        r = _icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3
 
 
 # -- arithmetic ---------------------------------------------------------------

@@ -442,6 +442,32 @@ def test_verify_reports_a_nan_root_as_failed():
     report = verify_solution(f, [1, -3, 2], records)
     assert report.passed is False
     assert report.oracle_match is False and report.residuals_ok is False
+    assert report.factorization_ok is False
+
+
+def test_verify_matches_no_infinite_root_to_the_oracle():
+    f = ComplexField()
+    records = solve_quadratic(f, 1, -3, 2)
+    records[0] = RootRecord(records[0].label, None, complex(math.inf, 0.0), records[0].radical)
+    report = verify_solution(f, [1, -3, 2], records)
+    assert report.oracle_match is False and report.passed is False
+
+
+@pytest.mark.parametrize(
+    "coeffs, count, message",
+    [
+        ([5], 0, "degree must be between 1 and 4"),
+        ([1, 0, 0, 0, 0, -1], 5, "degree must be between 1 and 4"),
+        ([1, -3, 2], 1, "record count must equal the degree"),
+        ([1, -3, 2], 3, "record count must equal the degree"),
+    ],
+    ids=["degree-0", "degree-5", "one-record-of-two", "three-records-of-two"],
+)
+def test_verify_rejects_a_bad_degree_or_record_count(coeffs, count, message):
+    f = ComplexField()
+    records = solve_linear(f, 1, -1) * count
+    with pytest.raises(ValueError, match=message):
+        verify_solution(f, coeffs, records)
 
 
 def test_verify_detects_tampered_root():
