@@ -52,8 +52,9 @@ class ParseError(ValueError):
 class PolynomialInput:
     """Parsed polynomial: variable name, degree -> coefficient map (exact
     rationals, a decimal read as the rational it writes), the source text,
-    and whether it has no decimal, which routes it to the exact backend and
-    writes its JSON coefficients as fractions."""
+    and whether it has no decimal.  Without ``--field`` that routes it to
+    the exact backend; decimal input on the complex backend writes its JSON
+    coefficients as doubles."""
 
     def __init__(self, variable, coefficients, source, exact):
         self.variable = variable
@@ -109,12 +110,12 @@ def parse_polynomial(text):
     """Parse signed terms of the form ``[coef][*][var[^exp]]``.
 
     Coefficients are integers, rationals ``a/b``, or decimals, each read as
-    an exact pair of any size (a decimal marks the input for the complex
-    backend, which reports a value beyond double range).  Whitespace is
-    insignificant, each term takes at most one sign, the variable name must
-    be consistent, and like-degree terms are summed exactly.  Each term is
-    one match of ``_TERM``; a parse error gives the offset where the text
-    stops fitting the grammar.
+    an exact pair of any size (without ``--field``, a decimal routes the
+    input to the complex backend, which reports a value beyond double
+    range).  Whitespace is insignificant, each term takes at most one sign,
+    the variable name must be consistent, and like-degree terms are summed
+    exactly.  Each term is one match of ``_TERM``; a parse error gives the
+    offset where the text stops fitting the grammar.
     """
     end = len(text)
     start = pos = end - len(text.lstrip())  # lstrip strips what str.isspace accepts
@@ -234,14 +235,16 @@ def _json_report(poly, backend_name, records, values, report):
     ``json.dumps(payload, indent=2)`` writes for the payload of degree,
     field, coefficients, roots and verification, written as f-strings in
     that layout, each value as JSON text.  A document has at least one
-    coefficient and one root.  Radical text goes in as it is: it is made of
-    digits, spaces, ``-/+*^()`` and the letters of sqrt, cbrt and omega,
-    none of which JSON escapes."""
+    coefficient and one root.  A coefficient is written as ``num``/``den``,
+    or as the ``re``/``im`` of its double for decimal input on the complex
+    backend.  Radical text goes in as it is: it is made of digits, spaces,
+    ``-/+*^()`` and the letters of sqrt, cbrt and omega, none of which JSON
+    escapes."""
     from json.encoder import encode_basestring_ascii as quote
 
     coefficients = []
     for deg in sorted(poly.coefficients, reverse=True):
-        if poly.exact:
+        if poly.exact or backend_name == "exact":
             q = poly.coefficients[deg]
             coefficients.append(f"""\
     {{
@@ -311,10 +314,9 @@ def _cmd_solve(args):
         print(f"unsupported degree {degree}", file=sys.stderr)
         return EXIT_DEGREE
 
-    use_complex = args.field == "complex" or not poly.exact
-    backend_name = "complex" if use_complex else "exact"
+    backend_name = args.field or ("exact" if poly.exact else "complex")
     dense = _dense_coeffs(poly)
-    field = ComplexField() if use_complex else TowerField()
+    field = ComplexField() if backend_name == "complex" else TowerField()
     try:
         records = _solve(field, dense, args.paper_strict)
         if args.verify:
@@ -411,7 +413,7 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --field {exact,complex}
-                        backend; decimal coefficients force complex
+                        backend; default exact, or complex for decimal input
   --format {text,json}
   --verify              attach a verification report
   --radical             print radical expressions
@@ -445,7 +447,7 @@ def _parse_args(argv):
     ``--``, other than ``-h``, is positional, so "-5/4*x^3" needs no ``--``."""
     prog, command, pending, rest, unknown = "radica", None, None, False, []
     args = SimpleNamespace(
-        polynomial=None, field="exact", format="text", verify=False, radical=False,
+        polynomial=None, field=None, format="text", verify=False, radical=False,
         paper_strict=False,
     )
     for token in argv:

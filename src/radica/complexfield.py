@@ -56,10 +56,10 @@ def approx_eq(x, y, tol):
 class ComplexField(FieldCapabilities):
     """Field capabilities over python ``complex`` values.
 
-    ``is_zero`` is ``x == 0``.  The solvers decide a case split on a
-    rational value by its literal (see ``solvers._Traced``), so on rational
-    coefficients only radicals, which an earlier exact test has proved
-    nonzero, and a library caller's own complex inputs reach it.
+    ``is_zero`` is ``x == 0``.  The solvers take rational coefficients and
+    decide a case split on a rational value by its literal (see
+    ``solvers._Traced``), so only radicals, which an earlier exact test has
+    proved nonzero, reach it.
     """
 
     name = "complex"

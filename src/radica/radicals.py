@@ -4,8 +4,7 @@ Node kinds: rational literal, add, neg, mul, div, sqrt, cbrt,
 omega-power.  The smart constructors fold arithmetic on literals, as
 integer pairs in lowest terms (so a tree shows `9/2 + sqrt(49/4)` rather
 than the unevaluated rational plumbing), and products of omega powers, but
-keep root nodes symbolic.  ``decimal`` reads a float's literal from its
-shortest text.
+keep root nodes symbolic.
 Rendering is deterministic and parenthesized-unambiguously, writes only
 digits, spaces, ``-/+*^()`` and the letters of sqrt, cbrt and omega (so
 JSON needs no escape in it), and a node keeps its own text once rendered;
@@ -164,24 +163,6 @@ def _pair(n, d):
     attrs = node.__dict__
     attrs["n"], attrs["d"] = n, d
     return node
-
-
-def decimal(x):
-    """The literal of the float ``x`` as its shortest text ``repr(x)`` reads,
-    in lowest terms: ``lit(Fraction(repr(x)))`` without parsing a
-    ``Fraction``.  A non-finite ``x`` raises ``ValueError`` as that parse
-    does."""
-    if not math.isfinite(x):
-        return lit(Fraction(repr(x)))
-    mantissa, _, exp = repr(x).partition("e")
-    whole, _, frac = mantissa.partition(".")
-    n = int(whole + frac)
-    shift = int(exp or 0) - len(frac)
-    if shift >= 0:
-        return _pair(n * 10**shift, 1)
-    d = 10**-shift
-    g = gcd(n, d)
-    return _pair(n // g, d // g)
 
 
 # The smart constructors fold two literals on their pairs, which are in

@@ -251,7 +251,8 @@ def check_degenerate_coverage(rng, n):
 
 
 def check_differential_oracle(rng, n):
-    """n random complex cubics and quartics: the float solver's roots match
+    """n random cubics and quartics with three-decimal coefficients in
+    [-5, 5], given as rationals: the float solver's roots match
     Durand-Kerner's at 1e-6.  Inputs whose oracle does not converge or whose
     roots lie closer than 1e-3 are excluded, and counted."""
     ok = True
@@ -260,10 +261,8 @@ def check_differential_oracle(rng, n):
     excluded_convergence = 0
     while solved + excluded_separation + excluded_convergence < n:
         degree = rng.choice((3, 4))
-        coeffs = [
-            complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(degree + 1)
-        ]
-        if abs(coeffs[0]) < 0.05:
+        coeffs = [Fraction(rng.randint(-5000, 5000), 1000) for _ in range(degree + 1)]
+        if abs(coeffs[0]) < Fraction(1, 20):
             continue
         field = ComplexField()
         records = (

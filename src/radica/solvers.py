@@ -18,25 +18,27 @@ elements.  There is one solver per degree, ``solve_linear`` to
 ``solve_quartic``, each taking leading-first general coefficients and
 returning root records; the solvers run the same formulas over
 ``_Traced``, one backend over either field whose elements pair the wrapped
-backend's value with the radical tree that produced it.  A coefficient may
-be an ``int`` or a ``Fraction``, as the CLI passes them on both backends,
-or a backend element.  A rational value stays a literal, which the tree's
-literal fold computes exactly: normalizing to monic, depressing, the
-resolvent and Cardano's inner term are arithmetic in Q, and the value
-becomes a backend element only when it meets an irrational value, a root,
-``to_complex`` or a record.  By default the cubic and quartic solvers
-case-split on ``is_zero`` and cover every degenerate input; with
-``strict=True`` they demand the paper's nonzeroness hypotheses instead and
-raise ``StrictHypothesisViolation``.  Every case split on rational
-coefficients tests a rational value, whose test reads its literal, or a
-square root that an earlier exact test has proved nonzero; on a reducible
-tower the backend's ``is_zero`` of such a root can still miss a zero (see
+backend's value with the radical tree that produced it.  A coefficient is
+rational: an ``int`` or a ``Fraction``, as the CLI passes them on both
+backends, or a backend element whose ``as_rational`` is known; a float or
+a complex raises ``TypeError``.  A rational value stays a literal, which
+the tree's literal fold computes exactly: normalizing to monic,
+depressing, the resolvent and Cardano's inner term are arithmetic in Q,
+and the value becomes a backend element only when it meets an irrational
+value, a root, ``to_complex`` or a record.  By default the cubic and
+quartic solvers case-split on ``is_zero`` and cover every degenerate
+input; with ``strict=True`` they demand the paper's nonzeroness
+hypotheses instead and raise ``StrictHypothesisViolation``.  Every case
+split tests a rational value, whose test reads its literal, or a square
+root that an earlier exact test has proved nonzero; on a reducible tower
+the backend's ``is_zero`` of such a root can still miss a zero (see
 ``FieldCapabilities`` and ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Number
 
 from . import radicals
 from .fields import FieldCapabilities
@@ -101,18 +103,16 @@ class _TV:
 
 class _Traced(FieldCapabilities):
     """Field whose elements are ``_TV(value, expr)`` pairs: ``value`` lives in
-    the wrapped backend ``f`` and ``expr`` is its radical tree.  A float
-    part of a wrapped value shows as the literal of its shortest decimal
-    text.
+    the wrapped backend ``f`` and ``expr`` is its radical tree.
 
     A rational stays a literal until it is read: ``from_rational``, and
-    ``wrap`` of an ``int``, a ``Fraction`` or a value the backend knows to
-    be rational, give a ``_TV`` whose ``value`` is ``None``, pending.  Two
-    pending operands combine by the literal fold alone, which computes the
-    exact value, and ``is_zero`` of a pending value reads the literal's
-    numerator.  When a pending value meets a backend value, a root,
-    ``to_complex`` or a record, ``_read`` makes its backend element from
-    the literal, once, and keeps it.  So the backend first sees a value at
+    ``wrap`` of a coefficient, which is rational, give a ``_TV`` whose
+    ``value`` is ``None``, pending.  Two pending operands combine by the
+    literal fold alone, which computes the exact value, and ``is_zero`` of
+    a pending value reads the literal's numerator.  When a pending value
+    meets a backend value, a root, ``to_complex`` or a record, ``_read``
+    makes its backend element from the literal, once, and keeps it.  So
+    every coefficient is pending, and the backend first sees a value at
     the first radical: on the exact backend it is the element the eager
     arithmetic would make, as the normal form is unique; on the complex
     backend it is the double nearest the exact rational, and a radicand or
@@ -150,15 +150,16 @@ class _Traced(FieldCapabilities):
         return value
 
     def wrap(self, x):
-        q = x if x.__class__ is Fraction or x.__class__ is int else self.f.as_rational(x)
-        if q is not None:
-            return _TV(None, radicals.lit(q))
-        z = self.f.to_complex(x)
-        expr = radicals.decimal(z.real)
-        if z.imag:
-            unit = Sqrt(radicals.lit(-1))
-            expr = radicals.radd(expr, radicals.rmul(radicals.decimal(z.imag), unit))
-        return _TV(x, expr)
+        """The pending literal of a coefficient, which must be rational: an
+        ``int``, a ``Fraction`` or a backend element whose ``as_rational``
+        is known.  Anything else, a float or a complex too, is a
+        ``TypeError``."""
+        if x.__class__ is Fraction or x.__class__ is int:
+            return _TV(None, radicals.lit(x))
+        q = None if isinstance(x, Number) else self.f.as_rational(x)
+        if q is None:
+            raise TypeError(f"a coefficient must be rational, not {x!r}")
+        return _TV(None, radicals.lit(q))
 
     def from_rational(self, q):
         tv = self._lits.get(q)

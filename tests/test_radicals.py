@@ -177,28 +177,6 @@ def test_radical_text_needs_no_json_escape():
     check()
 
 
-def test_decimal_literals_agree_with_the_fraction_of_the_float_text():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-        [1e-05, 1e16, 1e-7, 5e-324, 2.225073858507201e-308, 0.1, -0.0, 0.0, 123.456, 1.5e300]
-    )
-
-    @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(floats)
-    def check(x):
-        _agree(radicals.decimal(x), Fraction(str(x)))
-        _agree(radicals.decimal(-x), Fraction(str(-x)))
-
-    check()
-    for x in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError) as want:
-            Fraction(str(x))
-        with pytest.raises(ValueError) as got:
-            radicals.decimal(x)
-        assert str(got.value) == str(want.value)
-
-
 def test_a_zero_literal_divisor_folds_only_a_zero_numerator():
     assert rdiv(lit(0), lit(0)) == Lit(0)
     assert rdiv(lit(1), lit(0)) == Div(Lit(1), Lit(0))

@@ -745,8 +745,8 @@ def test_branch_totality_under_flipped_sqrt():
 
     plain = ComplexField()
     flipped = FlippedSqrt()
-    a = solve_cubic(plain, plain.one, plain.zero, complex(-6), complex(-9))
-    b = solve_cubic(flipped, flipped.one, flipped.zero, complex(-6), complex(-9))
+    a = solve_cubic(plain, 1, 0, -6, -9)
+    b = solve_cubic(flipped, 1, 0, -6, -9)
     assert _multiset(a) == _multiset(b)
 
 
@@ -888,8 +888,9 @@ def test_exact_solves_never_invert_a_zero_divisor():
 #
 # ``_ReferenceTraced`` and ``_reference_record`` are the trace backend and the
 # record builder as they were before a rational value stayed a literal until
-# read, kept verbatim but for ``is_exact``, which the quartic split reads:
-# each solve must give the same records through both.
+# read, kept verbatim but for ``is_exact``, which the quartic split reads, and
+# ``wrap``, which takes the rational coefficients the solvers take: each solve
+# must give the same records through both.
 
 
 class _ReferenceTraced(FieldCapabilities):
@@ -903,17 +904,7 @@ class _ReferenceTraced(FieldCapabilities):
         self._lits = {}
 
     def wrap(self, x):
-        q = self.f.as_rational(x)
-        if q is not None:
-            return _TV(x, radicals.lit(q))
-        z = self.f.to_complex(x)
-        expr = radicals.lit(Fraction(str(z.real)) if z.real else 0)
-        if z.imag:
-            unit = Sqrt(radicals.lit(-1))
-            expr = radicals.radd(
-                expr, radicals.rmul(radicals.lit(Fraction(str(z.imag))), unit)
-            )
-        return _TV(x, expr)
+        return _TV(x, radicals.lit(self.f.as_rational(x)))
 
     def from_rational(self, q):
         tv = self._lits.get(q)
@@ -1011,14 +1002,10 @@ def _assert_same_solve(monkeypatch, field, coeffs, strict=False):
         assert field.tower.depth == depth
 
 
-def _exact_coeffs(qs, irrational=None):
-    """A session and the rationals ``qs`` as its elements, with sqrt(2)
-    added to the coefficient at index ``irrational``."""
+def _exact_coeffs(qs):
+    """A session and the rationals ``qs`` as its elements."""
     f = TowerField()
-    coeffs = [f.from_rational(q) for q in qs]
-    if irrational is not None:
-        coeffs[irrational] = f.add(coeffs[irrational], f.sqrt(f.from_rational(2)))
-    return f, coeffs
+    return f, [f.from_rational(q) for q in qs]
 
 
 def test_pending_solves_match_the_eager_reference(monkeypatch):
@@ -1065,21 +1052,26 @@ def test_pending_solves_match_the_eager_reference_on_degenerate_input(monkeypatc
     "qs, irrational",
     [((1, 0), 1), ((1, -2, 1), 1), ((1, 0, -2), 0), ((1, 0, -3, 1), 3), ((1, 1, 0, -1), 2)],
 )
-def test_pending_solves_match_the_eager_reference_on_irrational_input(monkeypatch, qs, irrational):
-    """A wrapped irrational element keeps its value, under a literal tree
-    read from its float embedding, and meets the pending rationals."""
-    _assert_same_solve(monkeypatch, *_exact_coeffs(qs, irrational))
+def test_solvers_reject_an_irrational_coefficient(qs, irrational):
+    """A coefficient is rational: a tower element with sqrt(2) in it is a
+    ``TypeError``, and the session adjoins nothing past that sqrt(2)."""
+    f, coeffs = _exact_coeffs(qs)
+    coeffs[irrational] = f.add(coeffs[irrational], f.sqrt(f.from_rational(2)))
+    depth = f.tower.depth
+    kind, text = _solve_any(f, coeffs, False)
+    assert kind is TypeError and text.startswith("a coefficient must be rational, not ")
+    assert f.tower.depth == depth
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_complex_solves_match_the_eager_reference(monkeypatch, strict):
-    rng = random.Random(19)
-    for degree in (1, 2, 3, 4):
-        for _ in range(15):
-            qs = [round(rng.uniform(-5, 5), rng.choice((0, 3, 17))) for _ in range(degree + 1)]
-            qs[0] = qs[0] or 1.0
-            coeffs = [complex(q) for q in qs]
-            _assert_same_solve(monkeypatch, ComplexField(), coeffs, strict)
+@pytest.mark.parametrize("field", [TowerField, ComplexField])
+@pytest.mark.parametrize("bad", [1.5, 2.0, 2j, complex(3), float("nan")])
+def test_solvers_reject_a_float_or_complex_coefficient(field, bad):
+    for qs in ((1, 0), (1, 0, 1), (1, 0, -6, -9), (1, 0, 0, 1, 1)):
+        for k in range(len(qs)):
+            coeffs = list(qs)
+            coeffs[k] = bad
+            kind, text = _solve_any(field(), coeffs, False)
+            assert kind is TypeError and text == f"a coefficient must be rational, not {bad!r}"
 
 
 def test_a_pending_division_by_zero_raises():
@@ -1088,21 +1080,17 @@ def test_a_pending_division_by_zero_raises():
         zero, one = t.from_rational(0), t.from_rational(1)
         assert zero.value is None and t.is_zero(zero)
         root = t.sqrt(t.from_rational(2))
-        for x in (one, zero, root, t.wrap(t.f.from_rational(3))):
+        for x in (one, zero, root, t.wrap(Fraction(3))):
             with pytest.raises(ZeroDivisionError, match="^division by zero$"):
                 t.div(x, zero)
             with pytest.raises(ZeroDivisionError, match="^division by zero$"):
                 t.div(x, t.sub(one, one))
-        # a wrapped irrational is not pending, though its tree is a literal
-        g = t.f.sqrt(t.f.from_rational(3))
-        wrapped = t.wrap(g)
-        assert wrapped.value is g and wrapped.expr.__class__ is radicals.Lit
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 10**400), Fraction(-3, 10**320)])
 def test_a_pending_radicand_or_divisor_that_underflows_a_double_raises(q):
     t = _Traced(ComplexField())
-    x = t.wrap(2j)
+    x = t.sqrt(t.wrap(-4))  # 2j
     for op in (t.sqrt, t.cbrt, lambda y: t.div(x, y)):
         with pytest.raises(SolverError, match="underflows a double"):
             op(t.wrap(q))
@@ -1117,7 +1105,7 @@ def test_a_pending_radicand_or_divisor_that_underflows_a_double_raises(q):
 
 @pytest.mark.parametrize(
     "field, qs",
-    [(TowerField, (3, -1, 2, 5, -7)), (ComplexField, (1.5, -2.25, 0.125, 3.3, -0.7))],
+    [(TowerField, (3, -1, 2, 5, -7)), (ComplexField, ("1.5", "-2.25", "0.125", "3.3", "-0.7"))],
 )
 def test_a_pending_value_reaches_the_backend_once(monkeypatch, field, qs):
     """``_read`` makes a pending value's backend element from its literal
@@ -1133,7 +1121,6 @@ def test_a_pending_value_reaches_the_backend_once(monkeypatch, field, qs):
         return real(self, x)
 
     monkeypatch.setattr(_Traced, "_read", read)
-    f = field()
-    solve_quartic(f, *(f.from_rational(Fraction(q)) for q in qs))
+    solve_quartic(field(), *map(Fraction, qs))
     assert pending
     assert len({id(x) for x in pending}) == len(pending)
