@@ -12,32 +12,37 @@ denominator divided out: a unique form, so the zero test only looks for
 terms.  A monomial is one integer key whose digits are its exponents, in a
 mixed radix of 2*d_k - 1 per level with the lowest level least significant,
 so multiplying two monomials adds their keys without carry and appending a
-level leaves every key unchanged.  Multiplication is the integer product of
-the nonzero terms with one reduction pass that applies each level's rule
-h_k**d_k -> rule, through the tower's table of reduced monomials.  A
-monomial c*prod h_k**e_k inverts in closed form, sign(c)/|c| times
-prod h_k**(d_k - e_k) * rule_k**-1 over its levels with e_k > 0, and each
-level keeps its rule's inverse from its first use; any other element
-multiplies by its adjugate over the level below its highest generator, and
-the norm recursion ends in the closed form once the norm is a monomial.  A
-product with a rational operand only scales the other's terms.
+level leaves every key unchanged.  A product sums the pair products by key
+and then reduces the sum on its own, modulo the levels' defining
+polynomials as triangular-set arithmetic does: from the lowest level up,
+the part whose exponent e_k is at least d_k, already normal below level k,
+is shifted down by d_k, multiplied by rule_k, the value of h_k**d_k, and
+reduced below level k again.  A monomial c*prod h_k**e_k inverts in closed
+form, sign(c)/|c| times prod h_k**(d_k - e_k) * rule_k**-1 over its levels
+with e_k > 0, and each level keeps its rule's inverse from its first use;
+any other element multiplies by its adjugate over the level below its
+highest generator, and the norm recursion ends in the closed form once the
+norm is a monomial.  A product with a rational operand only scales the
+other's terms.
 ``debug_str`` and ``to_complex`` are defined in the original g basis, where
-a key's coefficient is its h-basis one times prod scale_k**e_k, which
-``to_complex`` reads from the tower's scale table; it evaluates from the
-highest level an element uses, which gives the bits of an evaluation over
-the whole tower as long as every level embeds as a finite number.
+a key's coefficient is its h-basis one times prod scale_k**e_k.
+``to_complex`` hands the integral terms and the denominator to ``_embed``,
+which multiplies part i of each level by scale_k**i on its way down and
+divides once per leaf; it evaluates from the highest level an element uses,
+which gives the bits of an evaluation over the whole tower as long as every
+level embeds as a finite number.
 
-A ``Tower`` is one solve session: it owns the level chain, the generator
-keys, the tables of reduced monomials and of scales, and adjunction.
-``Tower.adjoin`` returns an equal root for an equal radicand and otherwise
+A ``Tower`` is one solve session: it holds the level chain and the
+generator keys, nothing else, and adjoins.  ``Tower.adjoin`` returns the
+generator of a level of the same kind and an equal radicand, and otherwise
 appends a level in place; since appending leaves every key unchanged,
 elements built before it keep their value, elements over the lower levels
-are elements of the grown tower, and the tables and the kept rule inverses
-stay valid as it grows.  Splitting a reducible level (ROADMAP item 2) would
-change its rule and scale, so a split must drop the kept rule inverses and
-the scale table together with the table of reduced monomials.  Elements
-combine only with elements, and elements of different towers do not mix,
-except that a rational takes the tower of the element it meets.
+are elements of the grown tower, and the kept rule inverses stay valid as
+it grows.  Splitting a reducible level (ROADMAP item 2) would change its
+rule and scale, which products and ``_embed`` read from the level itself,
+so a split has to drop only the kept rule inverses.  Elements combine only
+with elements, and elements of different towers do not mix, except that a
+rational takes the tower of the element it meets.
 """
 
 from __future__ import annotations
@@ -130,6 +135,17 @@ def _combine(x, y, sy=1, sx=1):
     return {k: v for k, v in out.items() if v}
 
 
+def _product(x, y):
+    """x*y on integral terms, summed by key, not reduced and zeros kept."""
+    out = {}
+    get = out.get
+    for a, ca in x.items():
+        for b, cb in y.items():
+            key = a + b
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
 #: the primes below 100: once a prime's factors are out of den, none of its
 #: multiples divides what is left
 _SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % q for q in range(2, p)))
@@ -161,66 +177,51 @@ def _exponents(levels, key):
     return exps
 
 
-def _g_factor(levels, key):
-    """prod scale_k**e_k: the factor that takes the monomial ``key``'s
-    coefficient to the g basis, since h_k**e = scale_k**e * g_k**e."""
-    factor = 1
-    for lv, e in zip(levels, _exponents(levels, key)):
-        if e:
-            factor *= lv.scale**e
-    return factor
-
-
 def _g_numerators(levels, terms):
-    """{key: int}: the terms in the g basis."""
-    return {key: v * _g_factor(levels, key) for key, v in terms.items()}
+    """{key: int}: the terms in the g basis, since h_k**e = scale_k**e * g_k**e."""
+    out = {}
+    for key, v in terms.items():
+        for lv, e in zip(levels, _exponents(levels, key)):
+            v *= lv.scale**e
+        out[key] = v
+    return out
 
 
-class _ScaleTable(dict):
-    """Monomial key -> its ``_g_factor`` over a session's levels, filled on
-    first use; appending a level changes no key's factor."""
+def _embed(levels, bases, depth, terms, den):
+    """Nested per-level Horner over ``levels[:depth]`` of the g-basis value
+    of the integral ``terms`` over ``den``, from the highest level a key uses
+    (the levels above it leave the bits unchanged; see
+    ``TowerElement.to_complex``).
 
-    __slots__ = ("levels",)
-
-    def __init__(self, levels):
-        super().__init__()
-        self.levels = levels
-
-    def __missing__(self, key):
-        factor = self[key] = _g_factor(self.levels, key)
-        return factor
-
-
-def _embed(levels, bases, depth, coeffs):
-    """Nested per-level Horner of the g-basis float ``coeffs`` over
-    ``levels[:depth]``, from the highest level a key uses (the levels above
-    it leave the bits unchanged; see ``TowerElement.to_complex``).
-
-    A used level runs its full Horner loop, zero coefficients included, in
-    the same order as a dense evaluation, so signed zeros come out the same;
-    an all-zero subtree is skipped, since its dense value is exactly 0j.
+    Part i of a level is multiplied by scale**i on the way down, so a leaf
+    holds n * prod scale_k**e_k, and its one division by ``den`` is the
+    correctly rounded g-basis coefficient.  A used level runs its full
+    Horner loop, zero coefficients included, in the same order as a dense
+    evaluation, so signed zeros come out the same; an all-zero subtree is
+    skipped, since its dense value is exactly 0j.
     """
-    if not coeffs:
+    if not terms:
         return 0j
-    depth = bisect_right(bases, max(coeffs), 0, depth)
+    depth = bisect_right(bases, max(terms), 0, depth)
     if depth == 0:
-        return complex(coeffs[0])
+        return complex(terms[0] / den)
     depth -= 1
-    base = bases[depth]
-    parts = [{} for _ in range(levels[depth].deg)]
-    for key, q in coeffs.items():
+    base, level = bases[depth], levels[depth]
+    scale = level.scale
+    powers = (1, scale, scale * scale)
+    parts = [{} for _ in range(level.deg)]
+    for key, n in terms.items():
         i, low = divmod(key, base)
-        parts[i][low] = q
-    g = levels[depth].embed
+        parts[i][low] = n * powers[i]
     acc = 0j
     for part in reversed(parts):
         if not part:
             value = 0j
         elif len(part) == 1 and 0 in part:
-            value = complex(part[0])
+            value = complex(part[0] / den)
         else:
-            value = _embed(levels, bases, depth, part)
-        acc = acc * g + value
+            value = _embed(levels, bases, depth, part, den)
+        acc = acc * level.embed + value
     return acc
 
 
@@ -305,29 +306,22 @@ class Level:
         self.rule_inverse = None
 
 
-class Tower(dict):
+class Tower:
     """The chain of radical extensions over the rationals of one session,
     and its integral arithmetic.
 
     ``levels`` is the chain and ``bases`` the key of each generator, then
-    one past the largest key; ``adjoin`` grows both in place.  As a dict the
-    tower maps every monomial key that a product can produce to its normal
-    form, filled on first use: ``None`` for a key that is already normal,
-    else a tuple of (normal key, int) pairs.  ``scales``, filled the same
-    way, maps a key to the integer that takes its coefficient to the g
-    basis, for ``TowerElement.to_complex``.
+    one past the largest key; ``adjoin`` grows both in place, and they are
+    all the tower holds: each product is reduced on its own by the levels'
+    rules, ``TowerElement.to_complex`` reads each level's scale inside
+    ``_embed``, and ``adjoin`` finds an equal radicand among the levels.
     """
 
-    __slots__ = ("levels", "bases", "scales", "_roots")
+    __slots__ = ("levels", "bases")
 
     def __init__(self):
-        super().__init__()
         self.levels = []
         self.bases = [1]
-        self.scales = _ScaleTable(self.levels)
-        #: (kind, den, frozenset of terms) of a radicand -> (terms, den) of
-        #: its root; not the element, which would refer back to the tower
-        self._roots = {}
 
     @property
     def depth(self):
@@ -342,64 +336,54 @@ class Tower(dict):
         """A ``kind`` ("sqrt" or "cbrt") root of ``a``, which must be an
         element of this tower or a rational.
 
-        An equal radicand returns an equal root, so each provider is a
-        genuine function.  A rational perfect square, or perfect cube of
-        either sign, returns its rational root and leaves the tower
-        unchanged.  Otherwise a level is appended whose generator embeds as
+        An equal radicand returns an equal root, the generator of the level
+        of the same kind and radicand, so each provider is a genuine
+        function.  A rational perfect square, or perfect cube of either
+        sign, returns its rational root and leaves the tower unchanged.  Otherwise a level is appended whose generator embeds as
         the principal complex root of the radicand's embedding.
         """
         if a.tower is not self and not a.terms.keys() <= {0}:
             raise TowerMismatchError("tower mismatch")
         # the normal form is unique, so equal radicands have equal terms
-        key = (kind, a.den, frozenset(a.terms.items()))
-        root = self._roots.get(key)
-        if root is not None:
-            return TowerElement(self, *root)
+        radicand = (tuple(sorted(a.terms.items())), a.den)
+        for level, base in zip(self.levels, self.bases):
+            if level.kind == kind and level.radicand == radicand:
+                return TowerElement(self, {base: 1}, level.scale)
         q = a.as_rational()
         r = None if q is None else (rational_sqrt(q) if kind == "sqrt" else rational_cbrt(q))
         if r is not None:
-            root = self.rational(r)
-        else:
-            principal = csqrt_principal if kind == "sqrt" else ccbrt_principal
-            level = Level(kind, a, principal(a.to_complex()))
-            root = TowerElement(self, {self.bases[-1]: 1}, level.scale)
-            self.levels.append(level)
-            self.bases.append(self.bases[-1] * level.radix)
-        self._roots[key] = root.terms, root.den
+            return self.rational(r)
+        principal = csqrt_principal if kind == "sqrt" else ccbrt_principal
+        level = Level(kind, a, principal(a.to_complex()))
+        root = TowerElement(self, {self.bases[-1]: 1}, level.scale)
+        self.levels.append(level)
+        self.bases.append(self.bases[-1] * level.radix)
         return root
-
-    def __missing__(self, key):
-        levels, bases = self.levels, self.bases
-        for k in range(len(levels) - 1, -1, -1):
-            if key // bases[k] % levels[k].radix >= levels[k].deg:
-                break
-        else:
-            self[key] = None
-            return None
-        # h_k**e = h_k**(e - d_k) * rule_k at the highest overflowing level;
-        # what is left overflows only below it, and has a smaller key
-        rest = key - levels[k].deg * bases[k]
-        form = self[rest]
-        base = {rest: 1} if form is None else dict(form)
-        value = tuple(self.mul(base, levels[k].rule).items())
-        self[key] = value
-        return value
 
     def mul(self, x, y):
         """Product of integral terms x and y, reduced by the level rules."""
-        out = {}
-        get = out.get
-        for a, ca in x.items():
-            for b, cb in y.items():
-                key = a + b
-                form = self[key]
-                if form is None:
-                    out[key] = get(key, 0) + ca * cb
-                else:
-                    c = ca * cb
-                    for n, cn in form:
-                        out[n] = get(n, 0) + c * cn
-        return {k: v for k, v in out.items() if v}
+        if not x or not y:
+            return {}
+        terms = self._reduce(_product(x, y), bisect_right(self.bases, max(x) + max(y)))
+        return {k: v for k, v in terms.items() if v}
+
+    def _reduce(self, terms, top):
+        """``terms``, each exponent below 2*d_k - 1, reduced in place at the
+        levels below ``top``, zeros kept.  From the lowest level up,
+        h_k**(d_k + e) = h_k**e * rule_k: the part with e_k >= d_k, normal
+        below k, is shifted down by d_k, multiplied by rule_k and reduced
+        below k again."""
+        levels, bases = self.levels, self.bases
+        for k in range(top):
+            level, base = levels[k], bases[k]
+            deg, radix = level.deg, level.radix
+            over = [key for key in terms if key // base % radix >= deg]
+            if over:
+                cut = deg * base
+                high = {key - cut: terms.pop(key) for key in over}
+                for key, v in self._reduce(_product(high, level.rule), k).items():
+                    terms[key] = terms.get(key, 0) + v
+        return terms
 
     def inverse(self, terms):
         """(terms, den) of 1/x for nonzero integral x.
@@ -564,10 +548,8 @@ class TowerElement:
         component, so a level the element does not use contributes
         (+0, +0)*g + v = v.
         """
-        tower, den = self.tower, self.den
-        scales = tower.scales
-        coeffs = {k: n * scales[k] / den for k, n in self.terms.items()}
-        return _embed(tower.levels, tower.bases, len(tower.levels), coeffs)
+        tower = self.tower
+        return _embed(tower.levels, tower.bases, len(tower.levels), self.terms, self.den)
 
     def as_rational(self):
         terms = self.terms

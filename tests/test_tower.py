@@ -302,6 +302,18 @@ def test_adjoin_reuses_generator_for_same_radicand():
     g = t.adjoin("cbrt", radicand())
     assert t.adjoin("cbrt", radicand()) == g
     assert t.depth == 2
+    # levels appended after it leave the equal radicand's generator found
+    t.adjoin("sqrt", g + t.rational(3))
+    assert t.adjoin("cbrt", radicand()) == g
+    assert t.depth == 3
+    # the same radicand under the other kind is a new level
+    s = t.adjoin("sqrt", radicand())
+    assert t.depth == 4 and s != g and (s * s).debug_str() == radicand().debug_str()
+    assert t.adjoin("sqrt", radicand()) == s and t.adjoin("cbrt", radicand()) == g
+    # a rational that is not a perfect power, then an equal one built otherwise
+    r = t.adjoin("sqrt", t.rational(5))
+    assert t.adjoin("sqrt", t.rational(20) * t.rational(4).inverse()) == r
+    assert t.depth == 5
 
 
 def test_solved_session_is_freed_without_the_cycle_collector():
@@ -446,12 +458,13 @@ def _ref_embed(tower, x, k=None, high=()):
     return acc
 
 
-def _ref_random(rng, degs, depth, terms):
-    """A reference element over the first ``depth`` of the levels ``degs``."""
+def _ref_random(rng, degs, depth, terms, span=30):
+    """A reference element over the first ``depth`` of the levels ``degs``,
+    with coefficients p/q, |p| <= span and 1 <= q <= span."""
     x = {}
     for _ in range(terms):
         exps = tuple(rng.randrange(d) if i < depth else 0 for i, d in enumerate(degs))
-        x[exps] = x.get(exps, 0) + rand_fraction(rng, 30)
+        x[exps] = x.get(exps, 0) + rand_fraction(rng, span)
     return {k: v for k, v in x.items() if v}
 
 
@@ -467,13 +480,14 @@ def _from_ref(tower, gens, x):
     return total
 
 
-def _random_tower(rng, degs):
+def _random_tower(rng, degs, span=30):
     """A kernel tower with levels of degrees ``degs``, its generators and its
-    reference levels; radicands above the first level are not rational."""
+    reference levels; radicands above the first level are not rational, and
+    their coefficients are drawn as ``_ref_random``'s with ``span``."""
     tower, gens, levels = Tower(), [], []
     for k, deg in enumerate(degs):
         while True:
-            radicand = _ref_random(rng, degs, k, rng.randint(1, 4))
+            radicand = _ref_random(rng, degs, k, rng.randint(1, 4), span)
             if k and not any(e for exps in radicand for e in exps):
                 continue
             g = tower.adjoin("sqrt" if deg == 2 else "cbrt", _from_ref(tower, gens, radicand))
@@ -579,6 +593,22 @@ def test_kernel_matches_reference_on_random_towers():
         x, y = (_ref_random(rng, degs, len(degs), rng.randint(0, 5)) for _ in range(2))
         inverted += _check_against_reference(tower, gens, levels, x, y)
     assert inverted >= 40
+
+
+def test_kernel_matches_reference_on_big_integer_towers():
+    # 30- to 60-digit radicands: the rules, the scales and the products of
+    # the level-by-level reduction run on big integers
+    rng = random.Random(20261022)
+    for _ in range(12):
+        degs = [rng.choice((2, 3)) for _ in range(rng.randint(2, 3))]
+        span = 10 ** rng.randint(30, 60)
+        tower, gens, levels = _random_tower(rng, degs, span)
+        assert max(lv.scale for lv in tower.levels) > 10**20
+        x, y = (_ref_random(rng, degs, len(degs), rng.randint(1, 4), span) for _ in range(2))
+        assert _check_against_reference(tower, gens, levels, x, y)
+        kx, ky = _from_ref(tower, gens, x), _from_ref(tower, gens, y)
+        for z in (kx, kx * ky, ky * kx.inverse()):
+            assert _bits(z.to_complex()) == _bits(_full_depth_to_complex(z))
 
 
 def _zero_divisor_tower(rng):
