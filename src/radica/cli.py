@@ -210,7 +210,7 @@ def _solve(field, coeffs, strict):
 def _fmt_complex(z):
     re, im = z.real, z.imag
     if im == 0:
-        return f"{re:.12g}"
+        return f"{re + 0.0:.12g}"
     if re == 0:
         return f"{im:.12g}i"
     sign = "+" if im >= 0 else "-"

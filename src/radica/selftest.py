@@ -31,10 +31,7 @@ from .solvers import (
 )
 from .tower import ReducibleExtensionError, TowerField
 from .verifier import (
-    NoConvergence,
-    durand_kerner,
     horner_eval,
-    match_root_multisets,
     negative_exhibit_two_cbrts,
     omega_twisting_cbrt,
     residuals,
@@ -252,9 +249,9 @@ def check_degenerate_coverage(rng, n):
 
 def check_differential_oracle(rng, n):
     """n random cubics and quartics with three-decimal coefficients in
-    [-5, 5], given as rationals: the float solver's roots match
-    Durand-Kerner's at 1e-6.  Inputs whose oracle does not converge or whose
-    roots lie closer than 1e-3 are excluded, and counted."""
+    [-5, 5], given as rationals: the float solver's roots match the
+    verifier's Durand-Kerner oracle at 1e-6.  Inputs whose oracle does not
+    converge or whose roots lie closer than 1e-3 are excluded, and counted."""
     ok = True
     solved = 0
     excluded_separation = 0
@@ -268,20 +265,18 @@ def check_differential_oracle(rng, n):
         records = (
             solve_cubic(field, *coeffs) if degree == 3 else solve_quartic(field, *coeffs)
         )
-        try:
-            oracle = durand_kerner(coeffs)
-        except NoConvergence:
+        match = verify_solution(field, coeffs, records).oracle_match
+        if match is None:
             excluded_convergence += 1
             continue
         separation = min(
-            abs(x - y) for x, y in itertools.combinations(oracle, 2)
+            abs(x.approx - y.approx) for x, y in itertools.combinations(records, 2)
         )
         if separation < 1e-3:
             excluded_separation += 1
             continue
         solved += 1
-        if not match_root_multisets([r.approx for r in records], oracle, 1e-6):
-            ok = False
+        ok &= match
     return ok, (
         f"matched={solved}, excluded(separation)={excluded_separation}, "
         f"excluded(convergence)={excluded_convergence}"

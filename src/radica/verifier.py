@@ -3,23 +3,26 @@
 Residuals by Horner substitution, coefficient recovery from roots,
 a Durand-Kerner simultaneous-iteration oracle, the oracle check (the
 solver's roots pair off one-to-one with the oracle's within 1e-6 relative,
-``approx_eq``), and assembly of a per-solve verification report.  Exact
-residuals, in the report and from ``residuals`` alike (so with or without
-``--verify`` on the CLI), come from the factorization identity first: when
-the roots expand to the monic input, each root is exact, and Horner runs
-only when the identity fails.  The checks take the coefficients the
-solvers take, as numbers (``int`` or ``Fraction``, and ``complex`` or
-``float`` too on an inexact backend), not backend elements: the expansion
-is compared with them in Q, and the oracle reads their doubles.  Also
-hosts the negative demonstration: the uncorrected two-cube-roots formula
-fails under a valid but adversarial cube-root provider, while the
-corrected t = c/(3s) form never does.
+``approx_eq``), and assembly of a per-solve verification report.  One
+function, ``_check``, gives the residuals and the exact factorization
+verdict, for the report and for ``residuals`` alike (so with or without
+``--verify`` on the CLI): on an exact backend the factorization identity
+comes first, and when the roots expand to the monic input each root is
+exact and Horner runs only when the identity fails.  ``verify_solution``
+is the one caller of the oracle, for the CLI and the selftest both.  The
+checks take the coefficients the solvers take, as numbers (``int`` or
+``Fraction``, and ``complex`` or ``float`` too on an inexact backend), not
+backend elements: the expansion is compared with them in Q, and the
+oracle reads their doubles.  Also hosts the negative demonstration: the
+uncorrected two-cube-roots formula fails under a valid but adversarial
+cube-root provider, while the corrected t = c/(3s) form never does.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .complexfield import ComplexField, approx_eq, ccbrt_principal, csqrt_principal
 
@@ -156,10 +159,6 @@ def match_root_multisets(a, b, tol):
     return _pairs_off(close, ())
 
 
-def _scale(numeric):
-    return max(1.0, max(abs(z) for z in numeric))
-
-
 def residuals(field, coeffs, records):
     """|p(root)| for each record, and whether every one is acceptable.
 
@@ -170,30 +169,30 @@ def residuals(field, coeffs, records):
     substituted in complex doubles and must stay within 1e-6 times the
     largest coefficient magnitude (at least 1).  Exact records are proved
     by the factorization identity first and substituted by Horner only
-    when it fails (see ``_vieta_first``).
+    when it fails (see ``_check``).
     """
-    values, ok, _ = _vieta_first(field, coeffs, records)
-    return values, ok
+    return _check(field, coeffs, records)[:2]
 
 
-def _vieta_first(field, coeffs, records):
-    """(values, ok, factorization_exact): the residuals, proved by Vieta
-    where possible.
+def _check(field, coeffs, records):
+    """(values, ok, factorization): the residuals, proved by Vieta where
+    possible, and the exact factorization verdict.
 
     When the field is exact and every one of the degree-many records is
     exact, the roots are expanded and the expansion's rational values below
     its leading 1 are compared with q_i/q_0, read from ``coeffs`` as given
     (a coefficient that is not a rational number raises ``TypeError``);
-    ``factorization_exact`` says whether they agree, and is None otherwise.
-    The normal form is unique, so a coefficient of the expansion that is
-    not rational has no rational value and differs.  If they agree,
+    ``factorization`` says whether they agree, and is None otherwise.  The
+    normal form is unique, so a coefficient of the expansion that is not
+    rational has no rational value and differs.  If they agree,
     p(r_i) = a*prod(r_i - r_j) = 0 is a ring identity (on a reducible tower
     too, as a ring homomorphism preserves it), so every residual is exactly
-    0 and no root is substituted.  Else the residuals come from Horner,
-    ``_residuals``; the normal form is unique, so both routes give the same
-    values.
+    0 and no root is substituted.  Else each residual comes from Horner: an
+    exact record is substituted in the field, whose elements of ``coeffs``
+    are made on first need, and an inexact one in complex doubles.  The
+    normal form is unique, so both routes give the same values.
     """
-    factorization_exact = None
+    factorization = None
     if (
         field.is_exact
         and len(records) == len(coeffs) - 1
@@ -201,19 +200,11 @@ def _vieta_first(field, coeffs, records):
     ):
         expanded = expand_monic_from_roots(field, [rec.exact for rec in records])
         lead = Fraction(coeffs[0])
-        factorization_exact = all(
+        factorization = all(
             field.as_rational(x) == q / lead for x, q in zip(expanded[1:], coeffs[1:])
         )
-        if factorization_exact:
+        if factorization:
             return [0.0] * len(records), True, True
-    values, ok = _residuals(field, coeffs, records)
-    return values, ok, factorization_exact
-
-
-def _residuals(field, coeffs, records):
-    """Horner residuals: an exact record is substituted in the field, whose
-    elements of ``coeffs`` are made on first need, and an inexact one in
-    complex doubles."""
     values = []
     ok = True
     elements = tol = None
@@ -227,25 +218,21 @@ def _residuals(field, coeffs, records):
         else:
             if tol is None:
                 numeric = [complex(c) for c in coeffs]
-                tol = FLOAT_RESIDUAL_TOL * _scale(numeric)
+                tol = FLOAT_RESIDUAL_TOL * max(1.0, max(abs(z) for z in numeric))
             residual = abs(_chorner(numeric, rec.approx))
             within = residual <= tol
         values.append(residual)
         ok = ok and within
-    return values, ok
+    return values, ok, factorization
 
 
 class VerificationReport:
     """Checks for one solve: per-root residuals, the factorization identity,
     and agreement with the numeric oracle."""
 
-    def __init__(
-        self, residuals, residuals_ok, factorization_exact, factorization_ok, oracle_match,
-        notes=None,
-    ):
+    def __init__(self, residuals, residuals_ok, factorization_ok, oracle_match, notes=None):
         self.residuals = residuals
         self.residuals_ok = residuals_ok
-        self.factorization_exact = factorization_exact
         self.factorization_ok = factorization_ok
         self.oracle_match = oracle_match
         self.notes = [] if notes is None else notes
@@ -266,14 +253,14 @@ def verify_solution(field, coeffs, records):
     doubles, each pair within ``ORACLE_MATCH_TOL`` relative (``approx_eq``).
     Oracle non-convergence is flagged in the notes, not failed.
 
-    The residuals and the exact factorization come from one route, the
-    one ``residuals`` (and so the CLI without ``--verify``) takes: on the
+    The residuals and the exact factorization come from ``_check``, as
+    ``residuals`` (and so the CLI without ``--verify``) has them: on the
     exact backend, with every record exact, the roots expanding to the
     monic input in Q prove every residual exactly 0 and no root is
     substituted; otherwise Horner gives them, exactly where records carry
     exact values and numerically elsewhere (|p(root)| <= 1e-6 * scale).
-    Inexact records have their factorization checked on the complex
-    embedding instead.
+    Where ``_check`` gives no factorization verdict, the records'
+    approximations are expanded on the complex embedding instead.
     """
     degree = len(coeffs) - 1
     if degree < 1 or degree > 4:
@@ -283,18 +270,14 @@ def verify_solution(field, coeffs, records):
     notes = []
     numeric = [complex(c) for c in coeffs]
 
-    values, residuals_ok, factorization_exact = _vieta_first(
+    values, residuals_ok, factorization_ok = _check(
         field, coeffs if field.is_exact else numeric, records
     )
-    if factorization_exact is None:
-        scale = _scale(numeric)
+    if factorization_ok is None:
         lead = numeric[0]
-        monic_num = [z / lead for z in numeric]
         expanded = expand_monic_from_roots(ComplexField(), [rec.approx for rec in records])
-        tol = FLOAT_RESIDUAL_TOL * scale
-        factorization_ok = all(abs(x - y) <= tol for x, y in zip(expanded, monic_num))
-    else:
-        factorization_ok = factorization_exact
+        tol = FLOAT_RESIDUAL_TOL * max(1.0, max(abs(z) for z in numeric))
+        factorization_ok = all(abs(x - z / lead) <= tol for x, z in zip(expanded, numeric))
 
     oracle_match = None
     try:
@@ -309,7 +292,6 @@ def verify_solution(field, coeffs, records):
     return VerificationReport(
         residuals=values,
         residuals_ok=residuals_ok,
-        factorization_exact=factorization_exact,
         factorization_ok=factorization_ok,
         oracle_match=oracle_match,
         notes=notes,
@@ -342,30 +324,18 @@ def omega_twisting_cbrt():
     return cbrt
 
 
-class TwoCubeRootExhibit:
-    """One run of the uncorrected formula u = s - t with s and t taken as
-    independent cube roots, next to the corrected u = s - c/(3s)."""
-
-    def __init__(
-        self, c, d, s, t_independent, u_naive, residual_naive, u_corrected, residual_corrected
-    ):
-        self.c = c
-        self.d = d
-        self.s = s
-        self.t_independent = t_independent
-        self.u_naive = u_naive
-        self.residual_naive = residual_naive
-        self.u_corrected = u_corrected
-        self.residual_corrected = residual_corrected
-
-
 def negative_exhibit_two_cbrts(c, d, cbrt_func=real_preferring_cbrt):
     """Evaluate the naive and corrected Cardano forms under ``cbrt_func``.
 
-    Requires c, d != 0.  With the default (real-preferring) provider the
-    naive form happens to work on benign inputs; swap in an
-    ``omega_twisting_cbrt`` provider to exhibit a nonzero naive residual.
-    The corrected residual is tiny for every valid provider.
+    Returns a namespace of ``c`` and ``d`` (as complex), the first cube
+    root ``s``, the independently taken ``t_independent``, the naive
+    ``u_naive`` = s - t_independent and the corrected ``u_corrected`` =
+    s - c/(3s), with their residuals |u^3 + c*u + d| as ``residual_naive``
+    and ``residual_corrected``.  Requires c, d != 0.  With the default
+    (real-preferring) provider the naive form happens to work on benign
+    inputs; swap in an ``omega_twisting_cbrt`` provider to exhibit a
+    nonzero naive residual.  The corrected residual is tiny for every valid
+    provider.
     """
     c, d = complex(c), complex(d)
     if c == 0 or d == 0:
@@ -379,7 +349,7 @@ def negative_exhibit_two_cbrts(c, d, cbrt_func=real_preferring_cbrt):
     def residual(u):
         return abs(u**3 + c * u + d)
 
-    return TwoCubeRootExhibit(
+    return SimpleNamespace(
         c=c,
         d=d,
         s=s,

@@ -423,7 +423,7 @@ def test_verify_cardano_example_passes_exactly():
     report = verify_solution(f, [1, 0, -6, -9], records)
     assert report.passed
     assert report.residuals == [0.0, 0.0, 0.0]
-    assert report.factorization_exact is True
+    assert report.factorization_ok is True
     assert report.oracle_match is True
 
 
@@ -478,6 +478,8 @@ def test_verify_detects_tampered_root():
     report = verify_solution(f, [1, 0, -6, -9], tampered)
     assert not report.passed
     assert abs(report.residuals[0] - 2.191) < 1e-9
+    # an inexact record on an exact field: the roots' doubles are expanded
+    assert report.factorization_ok is False
 
 
 def test_verify_quartic_exact():
@@ -486,7 +488,7 @@ def test_verify_quartic_exact():
     records = solve_quartic(f, *coeffs)
     report = verify_solution(f, coeffs, records)
     assert report.passed
-    assert report.factorization_exact is True
+    assert report.factorization_ok is True
 
 
 def test_verify_exact_wrong_root_falls_back_to_horner(monkeypatch):
@@ -501,7 +503,7 @@ def test_verify_exact_wrong_root_falls_back_to_horner(monkeypatch):
     real = verifier.horner_eval
     monkeypatch.setattr(verifier, "horner_eval", lambda *a: seen.append(a) or real(*a))
     report = verify_solution(f, coeffs, records)
-    assert report.factorization_exact is False
+    assert report.factorization_ok is False
     assert report.residuals_ok is False
     assert report.residuals[2] > 0.0
     assert report.residuals[:2] + report.residuals[3:] == [0.0, 0.0, 0.0]
@@ -524,7 +526,7 @@ def test_verify_compares_rational_input_in_q(monkeypatch):
     f = TowerField()
     records = solve_quadratic(f, *coeffs)
     report, taken = _inverses_in_verify(monkeypatch, f, coeffs, records)
-    assert report.factorization_exact is True
+    assert report.factorization_ok is True
     assert report.residuals == [0.0, 0.0]
     assert report.passed
     assert taken == 0
@@ -537,7 +539,7 @@ def test_verify_root_shifted_by_a_tenth_fails(monkeypatch):
     wrong = f.add(records[0].exact, f.from_rational(Fraction(1, 10)))
     records[0] = RootRecord(records[0].label, wrong, records[0].approx, records[0].radical)
     report, taken = _inverses_in_verify(monkeypatch, f, coeffs, records)
-    assert report.factorization_exact is False
+    assert report.factorization_ok is False
     assert report.residuals[0] > 0.0 and report.residuals[1] == 0.0
     assert not report.residuals_ok and not report.passed
     assert taken == 0
@@ -559,11 +561,32 @@ def test_exact_verifier_reads_the_coefficients_as_given(monkeypatch, workload):
                 )
             report = verify_solution(f, coeffs, records)
             values, ok = residuals(f, coeffs, records)
-        assert report.factorization_exact is True and report.passed
+        assert report.factorization_ok is True and report.passed
         assert values == report.residuals == [0.0] * len(records) and ok
         # the expansion's coefficients below the leading 1, once per call
         assert calls == ["as_rational"] * 2 * len(records)
         calls.clear()
+
+
+def test_complex_verifier_residuals_are_the_reports(monkeypatch):
+    import radica.verifier as verifier
+
+    expanded = []
+    real = verifier.expand_monic_from_roots
+    monkeypatch.setattr(
+        verifier, "expand_monic_from_roots", lambda *a: expanded.append(a) or real(*a)
+    )
+    for case in _load_corpus().make_corpus("float-mixed-verify", 1)[:20]:
+        coeffs = _dense_coeffs(parse_polynomial(case.argv[-1]))  # as the CLI parses it
+        f = ComplexField()
+        records = (solve_cubic if len(coeffs) == 4 else solve_quartic)(f, *coeffs)
+        values, ok = residuals(f, coeffs, records)
+        # the float route expands nothing for the residuals alone
+        assert not expanded
+        report = verify_solution(f, coeffs, records)
+        assert values == report.residuals and ok is report.residuals_ok
+        assert len(expanded) == 1 and report.passed
+        expanded.clear()
 
 
 def test_a_tower_element_coefficient_is_a_type_error():
